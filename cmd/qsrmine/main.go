@@ -150,7 +150,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *sample {
 			ds = qsrmine.PortoAlegreScene()
 		} else {
-			if ds, err = qsrmine.LoadDataset(*dataPath); err != nil {
+			sp := tr.Stage("load")
+			ds, err = qsrmine.LoadDataset(*dataPath)
+			sp.End()
+			if err != nil {
 				return err
 			}
 		}
@@ -183,7 +186,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *colocate {
 			return fmt.Errorf("-colocate needs a geometric scene (-data or -sample), not -table")
 		}
+		sp := tr.Stage("load")
 		table, loadErr := qsrmine.LoadTable(*tablePath)
+		sp.End()
 		if loadErr != nil {
 			return loadErr
 		}

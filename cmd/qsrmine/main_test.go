@@ -362,3 +362,55 @@ func TestRunMutateFlagErrors(t *testing.T) {
 		t.Error("missing mutation file should fail")
 	}
 }
+
+// TestRunTraceShowsLoadStage: -trace times decoding the -data scene and
+// the -table CSV as the "load" stage.
+func TestRunTraceShowsLoadStage(t *testing.T) {
+	dir := t.TempDir()
+	scene := filepath.Join(dir, "scene.json")
+	w, err := os.Create(scene)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := qsrmine.PortoAlegreScene().WriteJSON(w); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	table := filepath.Join(dir, "t.csv")
+	if err := os.WriteFile(table, []byte("r1,a,b\nr2,a,b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-data", scene}, {"-table", table}} {
+		var stderr bytes.Buffer
+		if err := run(append(args, "-minsup", "0.5", "-trace"), io.Discard, &stderr); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.Contains(stderr.String(), "stage.load.nanos") {
+			t.Errorf("%v: trace has no load stage:\n%s", args, stderr.String())
+		}
+	}
+}
+
+// TestRunRejectsMalformedScene: a scene file with data after the
+// document, or a schema key given twice, is an error rather than a
+// silently truncated or merged scene.
+func TestRunRejectsMalformedScene(t *testing.T) {
+	dir := t.TempDir()
+	for name, doc := range map[string]string{
+		"trailing-data": `{"reference":{"type":"d","features":[{"id":"a","wkt":"POINT (1 2)"}]}} garbage`,
+		"duplicate-key": `{"reference":{"type":"d","features":[{"id":"a","wkt":"POINT (1 2)","attrs":{"k":"v"}}],"features":[{"id":"b"}]}}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		err := run([]string{"-data", path}, &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "decoding JSON") {
+			t.Errorf("%s: err = %v, want a decoding error", name, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: results written despite the error: %q", name, stdout.String())
+		}
+	}
+}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,10 @@ import (
 // rejected with an error, but none may panic, and anything that parses
 // must survive Validate and a write/re-read round trip.
 
+// FuzzReadJSON is differential: the single-pass reader and the
+// reflective oracle must agree on accepting or rejecting every input,
+// and accepted inputs must decode to deep-equal datasets that survive
+// a write/re-read round trip.
 func FuzzReadJSON(f *testing.F) {
 	// A real scene, hand-written corner cases, and plain garbage.
 	var buf bytes.Buffer
@@ -24,14 +29,25 @@ func FuzzReadJSON(f *testing.F) {
 		`"relevant":[{"type":"w","features":[{"id":"y","wkt":"LINESTRING(0 0, 1 1)"}]}]}`))
 	f.Add([]byte(`{"reference":{"features":[{"wkt":"POLYGON((0 0, 1 0, 1 1, 0 0))"}]}}`))
 	f.Add([]byte(`{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT(NaN Inf)"}]}}`))
+	f.Add([]byte(`{"Reference":{"TYPE":"\u00e9\ud800","features":[{"iD":"\"","wkt":"POINT\u0020(1 2)",` +
+		`"attrs":{"n":-0.5e-3,"o":{"p":[true,null]},"s":"\u2028"}}]},"nonSpatialAttrs":[null,"x"],"x":[{}]}`))
+	f.Add([]byte(`{"reference":{"type":"d","features":[{"id":"a","wkt":"POINT(1 2)"}],"features":[{"id":"b"}]}}`))
+	f.Add([]byte(`{"reference":{}} garbage`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[`))
 	f.Add([]byte("\x00\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := oracleReadJSON(data)
 		ds, err := ReadJSON(bytes.NewReader(data))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("reader and oracle disagree on %q:\nreader: %v\noracle: %v", data, err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(ds, want) {
+			t.Fatalf("reader and oracle decode %q differently:\nreader: %#v\noracle: %#v", data, ds, want)
 		}
 		// Accepted input must be internally consistent and re-encodable.
 		_ = ds.Validate()

@@ -1,10 +1,14 @@
 package geom
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParseWKT hardens the WKT parser: arbitrary input must never panic,
-// and successfully parsed geometries must round-trip through their own
-// WKT rendering.
+// the string and byte entry points must agree, and successfully parsed
+// geometries must round-trip through AppendWKT to an equal geometry and
+// a fixed-point rendering.
 func FuzzParseWKT(f *testing.F) {
 	seeds := []string{
 		"POINT (1 2)",
@@ -20,6 +24,8 @@ func FuzzParseWKT(f *testing.F) {
 		"  point\t( 7   8 ) ",
 		"POLYGON ((",
 		"POINT (a b)",
+		"POINT (1 2) trailing junk",
+		"POLYGON ((0 0, 1 0, 1 1, 0 0)), (5 5)",
 		"",
 	}
 	for _, s := range seeds {
@@ -27,13 +33,20 @@ func FuzzParseWKT(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		g, err := ParseWKT(s)
+		gb, errb := ParseWKTBytes([]byte(s))
+		if (err == nil) != (errb == nil) || !reflect.DeepEqual(g, gb) {
+			t.Fatalf("ParseWKT and ParseWKTBytes disagree on %q: %v / %v", s, err, errb)
+		}
 		if err != nil {
 			return
 		}
-		wkt := g.WKT()
+		wkt := string(AppendWKT(nil, g))
 		back, err := ParseWKT(wkt)
 		if err != nil {
 			t.Fatalf("rendered WKT does not re-parse: %q -> %q: %v", s, wkt, err)
+		}
+		if !reflect.DeepEqual(back, g) {
+			t.Fatalf("AppendWKT round trip changed the geometry: %q -> %q: %#v != %#v", s, wkt, back, g)
 		}
 		if back.WKT() != wkt {
 			t.Fatalf("WKT not a fixed point: %q -> %q", wkt, back.WKT())

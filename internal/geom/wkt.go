@@ -7,102 +7,149 @@ import (
 )
 
 // WKT implements Geometry for Point.
-func (p Point) WKT() string {
-	return "POINT (" + fmtCoord(p) + ")"
-}
+func (p Point) WKT() string { return string(AppendWKT(nil, p)) }
 
 // WKT implements Geometry for MultiPoint.
-func (m MultiPoint) WKT() string {
-	if m.IsEmpty() {
-		return "MULTIPOINT EMPTY"
-	}
-	parts := make([]string, len(m.Points))
-	for i, p := range m.Points {
-		parts[i] = "(" + fmtCoord(p) + ")"
-	}
-	return "MULTIPOINT (" + strings.Join(parts, ", ") + ")"
-}
+func (m MultiPoint) WKT() string { return string(AppendWKT(nil, m)) }
 
 // WKT implements Geometry for LineString.
-func (l LineString) WKT() string {
-	if l.IsEmpty() {
-		return "LINESTRING EMPTY"
-	}
-	return "LINESTRING " + fmtCoordSeq(l.Coords)
-}
+func (l LineString) WKT() string { return string(AppendWKT(nil, l)) }
 
 // WKT implements Geometry for MultiLineString.
-func (m MultiLineString) WKT() string {
-	if m.IsEmpty() {
-		return "MULTILINESTRING EMPTY"
-	}
-	parts := make([]string, len(m.Lines))
-	for i, l := range m.Lines {
-		parts[i] = fmtCoordSeq(l.Coords)
-	}
-	return "MULTILINESTRING (" + strings.Join(parts, ", ") + ")"
-}
+func (m MultiLineString) WKT() string { return string(AppendWKT(nil, m)) }
 
 // WKT implements Geometry for Polygon.
-func (p Polygon) WKT() string {
-	if p.IsEmpty() {
-		return "POLYGON EMPTY"
-	}
-	return "POLYGON " + fmtPolyBody(p)
-}
+func (p Polygon) WKT() string { return string(AppendWKT(nil, p)) }
 
 // WKT implements Geometry for MultiPolygon.
-func (m MultiPolygon) WKT() string {
-	if m.IsEmpty() {
-		return "MULTIPOLYGON EMPTY"
+func (m MultiPolygon) WKT() string { return string(AppendWKT(nil, m)) }
+
+// AppendWKT appends the well-known text of g to dst and returns the
+// extended buffer. It is the package's one WKT formatter: coordinates are
+// written with strconv.AppendFloat ('g', shortest round-trip form)
+// straight into dst, and rings gain their explicit closing coordinate.
+// The output for this package's geometry types is printable ASCII without
+// quotes or backslashes.
+func AppendWKT(dst []byte, g Geometry) []byte {
+	switch g := g.(type) {
+	case Point:
+		dst = append(dst, "POINT ("...)
+		dst = appendCoord(dst, g)
+		return append(dst, ')')
+	case MultiPoint:
+		if g.IsEmpty() {
+			return append(dst, "MULTIPOINT EMPTY"...)
+		}
+		dst = append(dst, "MULTIPOINT ("...)
+		for i, p := range g.Points {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, '(')
+			dst = appendCoord(dst, p)
+			dst = append(dst, ')')
+		}
+		return append(dst, ')')
+	case LineString:
+		if g.IsEmpty() {
+			return append(dst, "LINESTRING EMPTY"...)
+		}
+		dst = append(dst, "LINESTRING "...)
+		return appendCoordSeq(dst, g.Coords, false)
+	case MultiLineString:
+		if g.IsEmpty() {
+			return append(dst, "MULTILINESTRING EMPTY"...)
+		}
+		dst = append(dst, "MULTILINESTRING ("...)
+		for i, l := range g.Lines {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendCoordSeq(dst, l.Coords, false)
+		}
+		return append(dst, ')')
+	case Polygon:
+		if g.IsEmpty() {
+			return append(dst, "POLYGON EMPTY"...)
+		}
+		dst = append(dst, "POLYGON "...)
+		return appendPolyBody(dst, g)
+	case MultiPolygon:
+		if g.IsEmpty() {
+			return append(dst, "MULTIPOLYGON EMPTY"...)
+		}
+		dst = append(dst, "MULTIPOLYGON ("...)
+		for i, p := range g.Polygons {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendPolyBody(dst, p)
+		}
+		return append(dst, ')')
 	}
-	parts := make([]string, len(m.Polygons))
-	for i, p := range m.Polygons {
-		parts[i] = fmtPolyBody(p)
-	}
-	return "MULTIPOLYGON (" + strings.Join(parts, ", ") + ")"
+	return append(dst, g.WKT()...)
 }
 
-func fmtPolyBody(p Polygon) string {
-	parts := make([]string, 0, 1+len(p.Holes))
-	parts = append(parts, fmtCoordSeq(closedCoords(p.Shell)))
+func appendPolyBody(dst []byte, p Polygon) []byte {
+	dst = append(dst, '(')
+	dst = appendCoordSeq(dst, p.Shell.Coords, true)
 	for _, h := range p.Holes {
-		parts = append(parts, fmtCoordSeq(closedCoords(h)))
+		dst = append(dst, ", "...)
+		dst = appendCoordSeq(dst, h.Coords, true)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(dst, ')')
 }
 
-// closedCoords returns ring coordinates with an explicit closing
-// coordinate, as WKT requires.
-func closedCoords(r Ring) []Point {
-	if len(r.Coords) == 0 {
-		return nil
-	}
-	return append(append([]Point{}, r.Coords...), r.Coords[0])
-}
-
-func fmtCoord(p Point) string {
-	return strconv.FormatFloat(p.X, 'g', -1, 64) + " " +
-		strconv.FormatFloat(p.Y, 'g', -1, 64)
-}
-
-func fmtCoordSeq(coords []Point) string {
-	parts := make([]string, len(coords))
+// appendCoordSeq writes "(x y, x y, ...)". closeRing repeats the first
+// coordinate at the end, as WKT requires of rings (whose closing
+// coordinate is implicit in Ring).
+func appendCoordSeq(dst []byte, coords []Point, closeRing bool) []byte {
+	dst = append(dst, '(')
 	for i, p := range coords {
-		parts[i] = fmtCoord(p)
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendCoord(dst, p)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	if closeRing && len(coords) > 0 {
+		dst = append(dst, ", "...)
+		dst = appendCoord(dst, coords[0])
+	}
+	return append(dst, ')')
+}
+
+func appendCoord(dst []byte, p Point) []byte {
+	dst = strconv.AppendFloat(dst, p.X, 'g', -1, 64)
+	dst = append(dst, ' ')
+	return strconv.AppendFloat(dst, p.Y, 'g', -1, 64)
 }
 
 // ParseWKT parses a well-known-text geometry. It accepts the subset of WKT
 // produced by this package: POINT, MULTIPOINT (with or without per-point
 // parentheses), LINESTRING, MULTILINESTRING, POLYGON, MULTIPOLYGON, and
-// the EMPTY keyword.
+// the EMPTY keyword. Only whitespace may follow the geometry.
 func ParseWKT(s string) (Geometry, error) {
-	p := &wktParser{src: s}
+	return parseWKT(s)
+}
+
+// ParseWKTBytes is ParseWKT over a byte slice, for decoders that hold the
+// text in a larger buffer: it parses in place without copying b to a
+// string, and the result does not alias b.
+func ParseWKTBytes(b []byte) (Geometry, error) {
+	return parseWKT(b)
+}
+
+func parseWKT[S string | []byte](src S) (Geometry, error) {
+	p := &wktParser[S]{src: src}
 	g, err := p.parse()
+	if err == nil {
+		p.skipSpace()
+		if p.pos < len(p.src) {
+			err = fmt.Errorf("unexpected %q at offset %d after the geometry", p.src[p.pos], p.pos)
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("geom: parsing WKT %q: %w", s, err)
+		return nil, fmt.Errorf("geom: parsing WKT %q: %w", string(src), err)
 	}
 	return g, nil
 }
@@ -116,15 +163,15 @@ func MustParseWKT(s string) Geometry {
 	return g
 }
 
-type wktParser struct {
-	src string
+type wktParser[S string | []byte] struct {
+	src S
 	pos int
 }
 
-func (p *wktParser) parse() (Geometry, error) {
-	kw := strings.ToUpper(p.ident())
-	switch kw {
-	case "POINT":
+func (p *wktParser[S]) parse() (Geometry, error) {
+	kw := p.ident()
+	switch {
+	case keywordIs(kw, "POINT"):
 		if p.empty() {
 			return MultiPoint{}, nil
 		}
@@ -136,7 +183,7 @@ func (p *wktParser) parse() (Geometry, error) {
 			return nil, fmt.Errorf("POINT needs exactly 1 coordinate, got %d", len(coords))
 		}
 		return coords[0], nil
-	case "MULTIPOINT":
+	case keywordIs(kw, "MULTIPOINT"):
 		if p.empty() {
 			return MultiPoint{}, nil
 		}
@@ -145,7 +192,7 @@ func (p *wktParser) parse() (Geometry, error) {
 			return nil, err
 		}
 		return MultiPoint{Points: pts}, nil
-	case "LINESTRING":
+	case keywordIs(kw, "LINESTRING"):
 		if p.empty() {
 			return LineString{}, nil
 		}
@@ -154,7 +201,7 @@ func (p *wktParser) parse() (Geometry, error) {
 			return nil, err
 		}
 		return LineString{Coords: coords}, nil
-	case "MULTILINESTRING":
+	case keywordIs(kw, "MULTILINESTRING"):
 		if p.empty() {
 			return MultiLineString{}, nil
 		}
@@ -176,12 +223,12 @@ func (p *wktParser) parse() (Geometry, error) {
 			return nil, err
 		}
 		return MultiLineString{Lines: lines}, nil
-	case "POLYGON":
+	case keywordIs(kw, "POLYGON"):
 		if p.empty() {
 			return Polygon{}, nil
 		}
 		return p.polygonBody()
-	case "MULTIPOLYGON":
+	case keywordIs(kw, "MULTIPOLYGON"):
 		if p.empty() {
 			return MultiPolygon{}, nil
 		}
@@ -203,19 +250,37 @@ func (p *wktParser) parse() (Geometry, error) {
 			return nil, err
 		}
 		return MultiPolygon{Polygons: polys}, nil
-	case "":
+	case len(kw) == 0:
 		return nil, fmt.Errorf("empty input")
 	default:
-		return nil, fmt.Errorf("unsupported geometry keyword %q", kw)
+		return nil, fmt.Errorf("unsupported geometry keyword %q", strings.ToUpper(string(kw)))
 	}
 }
 
-func (p *wktParser) polygonBody() (Polygon, error) {
+// keywordIs reports whether kw equals the upper-case ASCII keyword,
+// ignoring case.
+func keywordIs[S string | []byte](kw S, upper string) bool {
+	if len(kw) != len(upper) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		c := kw[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != upper[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func (p *wktParser[S]) polygonBody() (Polygon, error) {
 	if err := p.expect('('); err != nil {
 		return Polygon{}, err
 	}
-	var rings []Ring
-	for {
+	var poly Polygon
+	for first := true; ; first = false {
 		coords, err := p.coordSeq()
 		if err != nil {
 			return Polygon{}, err
@@ -224,7 +289,11 @@ func (p *wktParser) polygonBody() (Polygon, error) {
 		if len(coords) > 1 && coords[0].Equal(coords[len(coords)-1]) {
 			coords = coords[:len(coords)-1]
 		}
-		rings = append(rings, Ring{Coords: coords})
+		if first {
+			poly.Shell.Coords = coords
+		} else {
+			poly.Holes = append(poly.Holes, Ring{Coords: coords})
+		}
 		if !p.accept(',') {
 			break
 		}
@@ -232,14 +301,10 @@ func (p *wktParser) polygonBody() (Polygon, error) {
 	if err := p.expect(')'); err != nil {
 		return Polygon{}, err
 	}
-	poly := Polygon{Shell: rings[0]}
-	if len(rings) > 1 {
-		poly.Holes = rings[1:]
-	}
 	return poly, nil
 }
 
-func (p *wktParser) multipointBody() ([]Point, error) {
+func (p *wktParser[S]) multipointBody() ([]Point, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
@@ -266,11 +331,11 @@ func (p *wktParser) multipointBody() ([]Point, error) {
 	return pts, nil
 }
 
-func (p *wktParser) coordSeq() ([]Point, error) {
+func (p *wktParser[S]) coordSeq() ([]Point, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
-	var coords []Point
+	coords := make([]Point, 0, p.seqLen())
 	for {
 		pt, err := p.coord()
 		if err != nil {
@@ -287,7 +352,23 @@ func (p *wktParser) coordSeq() ([]Point, error) {
 	return coords, nil
 }
 
-func (p *wktParser) coord() (Point, error) {
+// seqLen counts the coordinates of the sequence starting at the parser's
+// position (just past its opening parenthesis) by counting the commas
+// before the closing one, so coordSeq allocates its slice once.
+func (p *wktParser[S]) seqLen() int {
+	n := 1
+	for i := p.pos; i < len(p.src); i++ {
+		switch p.src[i] {
+		case ',':
+			n++
+		case ')', '(':
+			return n
+		}
+	}
+	return n
+}
+
+func (p *wktParser[S]) coord() (Point, error) {
 	x, err := p.number()
 	if err != nil {
 		return Point{}, err
@@ -299,14 +380,15 @@ func (p *wktParser) coord() (Point, error) {
 	return Point{x, y}, nil
 }
 
-func (p *wktParser) skipSpace() {
-	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t' ||
-		p.src[p.pos] == '\n' || p.src[p.pos] == '\r') {
-		p.pos++
+func (p *wktParser[S]) skipSpace() {
+	src, i := p.src, p.pos
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
 	}
+	p.pos = i
 }
 
-func (p *wktParser) ident() string {
+func (p *wktParser[S]) ident() S {
 	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.src) {
@@ -321,16 +403,16 @@ func (p *wktParser) ident() string {
 }
 
 // empty consumes the EMPTY keyword if present.
-func (p *wktParser) empty() bool {
+func (p *wktParser[S]) empty() bool {
 	save := p.pos
-	if strings.EqualFold(p.ident(), "EMPTY") {
+	if keywordIs(p.ident(), "EMPTY") {
 		return true
 	}
 	p.pos = save
 	return false
 }
 
-func (p *wktParser) accept(c byte) bool {
+func (p *wktParser[S]) accept(c byte) bool {
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == c {
 		p.pos++
@@ -339,7 +421,7 @@ func (p *wktParser) accept(c byte) bool {
 	return false
 }
 
-func (p *wktParser) expect(c byte) error {
+func (p *wktParser[S]) expect(c byte) error {
 	if !p.accept(c) {
 		got := "end of input"
 		if p.pos < len(p.src) {
@@ -350,7 +432,7 @@ func (p *wktParser) expect(c byte) error {
 	return nil
 }
 
-func (p *wktParser) number() (float64, error) {
+func (p *wktParser[S]) number() (float64, error) {
 	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.src) {
@@ -365,5 +447,7 @@ func (p *wktParser) number() (float64, error) {
 	if start == p.pos {
 		return 0, fmt.Errorf("expected number at offset %d", start)
 	}
-	return strconv.ParseFloat(p.src[start:p.pos], 64)
+	// The conversion does not escape, so a token of up to 32 bytes is
+	// not copied to the heap when S is []byte.
+	return strconv.ParseFloat(string(p.src[start:p.pos]), 64)
 }

@@ -127,3 +127,86 @@ func TestMustParseWKT(t *testing.T) {
 	}
 	MustParseWKT("NOPE")
 }
+
+// TestParseWKTRejectsTrailingInput: only whitespace may follow the
+// geometry. Trailing text used to be ignored, so a second ring list
+// after a complete polygon was silently dropped.
+func TestParseWKTRejectsTrailingInput(t *testing.T) {
+	cases := []struct {
+		in     string
+		accept bool
+	}{
+		{"POINT (1 2)", true},
+		{"POINT (1 2) \t\r\n", true},
+		{"POINT EMPTY  ", true},
+		{"POINT (1 2) trailing junk", false},
+		{"POINT (1 2))", false},
+		{"POINT (1 2),", false},
+		{"POLYGON ((0 0, 1 0, 1 1, 0 0)), (5 5)", false},
+		{"POLYGON ((0 0, 1 0, 1 1, 0 0)) POLYGON ((5 5, 6 5, 6 6, 5 5))", false},
+		{"LINESTRING EMPTY x", false},
+		{"MULTIPOINT ((1 1), (2 2)) 3", false},
+		{"POINT (1 2)\x00", false},
+	}
+	for _, tc := range cases {
+		for name, parse := range map[string]func(string) (Geometry, error){
+			"string": ParseWKT,
+			"bytes":  func(s string) (Geometry, error) { return ParseWKTBytes([]byte(s)) },
+		} {
+			_, err := parse(tc.in)
+			if (err == nil) != tc.accept {
+				t.Errorf("%s parse of %q: err = %v, want accept=%v", name, tc.in, err, tc.accept)
+			}
+			if err != nil && !strings.Contains(err.Error(), "geom: parsing WKT") {
+				t.Errorf("error not wrapped: %v", err)
+			}
+		}
+	}
+}
+
+// TestAppendWKT: AppendWKT extends the caller's buffer in place and is
+// the formatter behind every WKT method, including the degenerate
+// shapes (empty rings and members) that only render, never re-parse.
+func TestAppendWKT(t *testing.T) {
+	cases := []struct {
+		g    Geometry
+		want string
+	}{
+		{Pt(1.5, -2e-7), "POINT (1.5 -2e-07)"},
+		{MultiPoint{Points: []Point{Pt(0, 0), Pt(3, 4)}}, "MULTIPOINT ((0 0), (3 4))"},
+		{MultiLineString{Lines: []LineString{Line(Pt(0, 0), Pt(1, 0)), {}}}, "MULTILINESTRING ((0 0, 1 0), ())"},
+		{Polygon{Shell: Ring{Coords: []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1)}}, Holes: []Ring{{}}},
+			"POLYGON ((0 0, 1 0, 1 1, 0 0), ())"},
+		{MultiPolygon{Polygons: []Polygon{{}, Rect(0, 0, 1, 1)}},
+			"MULTIPOLYGON ((()), ((0 0, 1 0, 1 1, 0 1, 0 0)))"},
+		{&Polygon{Shell: Ring{Coords: []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1)}}}, "POLYGON ((0 0, 1 0, 1 1, 0 0))"},
+	}
+	for _, tc := range cases {
+		got := AppendWKT([]byte("wkt="), tc.g)
+		if string(got) != "wkt="+tc.want {
+			t.Errorf("AppendWKT = %q, want %q", got, "wkt="+tc.want)
+		}
+		if tc.g.WKT() != tc.want {
+			t.Errorf("WKT() = %q, want %q", tc.g.WKT(), tc.want)
+		}
+	}
+}
+
+func BenchmarkAppendWKT(b *testing.B) {
+	g := Rect(123.456, 789.012, 345.678, 901.234)
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = AppendWKT(buf[:0], g)
+	}
+}
+
+func BenchmarkParseWKTBytes(b *testing.B) {
+	src := AppendWKT(nil, Rect(123.456, 789.012, 345.678, 901.234))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseWKTBytes(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

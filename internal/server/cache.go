@@ -120,6 +120,26 @@ func (c *ResultCache) Get(key string) (*MineResponse, bool) {
 	return nil, false
 }
 
+// recheck is Get for a caller whose Get of key just missed: a response
+// that has reached the memory tier since turns that counted miss into a
+// hit, and a second miss is not counted again (nor the durable tier
+// consulted again).
+func (c *ResultCache) recheck(key string) (*MineResponse, bool) {
+	c.mu.Lock()
+	resp, ok := c.lru.get(key)
+	if ok {
+		c.misses--
+		c.hits++
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	cp := *resp
+	cp.Cached = true
+	return &cp, true
+}
+
 // Put stores a response under key, writing through to the durable
 // tier when one is attached. A failed persistence write degrades that
 // entry to memory-only and is counted, never surfaced to the request.

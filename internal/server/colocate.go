@@ -148,7 +148,7 @@ func (s *Server) handleSubmitColocateJob(w http.ResponseWriter, r *http.Request)
 		writeError(w, r, http.StatusNotFound, api.CodeNotFound, "unknown dataset %q (upload it first)", req.Dataset)
 		return
 	}
-	j, err := s.jobs.Submit(req)
+	_, st, err := s.jobs.Submit(req)
 	switch {
 	case errors.Is(err, ErrDraining):
 		writeError(w, r, http.StatusServiceUnavailable, api.CodeDraining, "%v", err)
@@ -161,7 +161,6 @@ func (s *Server) handleSubmitColocateJob(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	s.trace.Add("server.jobs.submitted", 1)
-	st := s.jobs.Status(j)
 	w.Header().Set("Location", "/v1/jobs/"+st.ID)
 	writeJSON(w, http.StatusAccepted, st)
 }

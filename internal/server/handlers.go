@@ -111,7 +111,9 @@ func (s *Server) handleUploadScene(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	d, err := dataset.ReadJSON(bytes.NewReader(body))
+	sp := s.trace.Stage("load")
+	d, err := dataset.ParseJSON(body)
+	sp.End()
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
@@ -138,7 +140,9 @@ func (s *Server) handleUploadTable(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	sp := s.trace.Stage("load")
 	t, err := dataset.ReadTableCSV(bytes.NewReader(body))
+	sp.End()
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
@@ -211,16 +215,21 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := nd.WriteJSON(&buf); err != nil {
+	// The successor is the parent plus roughly the ops' own text, so the
+	// parent's stored size (plus the patch body) sizes the one buffer it
+	// is written into.
+	sp := s.trace.Stage("scene.encode")
+	succ, err := nd.AppendJSON(make([]byte, 0, sd.Bytes+2*int64(len(body))+4096))
+	sp.End()
+	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "serialising successor: %v", err)
 		return
 	}
-	if int64(buf.Len()) > s.opts.MaxUploadBytes {
+	if int64(len(succ)) > s.opts.MaxUploadBytes {
 		writeError(w, r, http.StatusRequestEntityTooLarge, api.CodeTooLarge, "successor exceeds %d bytes", s.opts.MaxUploadBytes)
 		return
 	}
-	child, err := s.store.PutScene(buf.Bytes(), nd)
+	child, err := s.store.PutScene(succ, nd)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
@@ -344,7 +353,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, api.CodeNotFound, "unknown dataset %q (upload it first)", req.Dataset)
 		return
 	}
-	j, err := s.jobs.Submit(req)
+	_, st, err := s.jobs.Submit(req)
 	switch {
 	case errors.Is(err, ErrDraining):
 		writeError(w, r, http.StatusServiceUnavailable, api.CodeDraining, "%v", err)
@@ -357,7 +366,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.trace.Add("server.jobs.submitted", 1)
-	st := s.jobs.Status(j)
 	w.Header().Set("Location", "/v1/jobs/"+st.ID)
 	writeJSON(w, http.StatusAccepted, st)
 }

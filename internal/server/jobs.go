@@ -105,14 +105,15 @@ func NewJobManager(baseCtx context.Context, workers, queueCap int, run func(cont
 	return m
 }
 
-// Submit enqueues a job and returns it (state queued). It fails with
-// ErrDraining after Shutdown began and ErrQueueFull when the bounded
-// queue is at capacity.
-func (m *JobManager) Submit(req MineRequest) (*Job, error) {
+// Submit enqueues a job and returns it with its status as of
+// acceptance (state queued) — a worker may already have moved it on by
+// the time the caller answers. It fails with ErrDraining after Shutdown
+// began and ErrQueueFull when the bounded queue is at capacity.
+func (m *JobManager) Submit(req MineRequest) (*Job, JobStatus, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, ErrDraining
+		return nil, JobStatus{}, ErrDraining
 	}
 	m.nextID++
 	j := &Job{
@@ -126,15 +127,16 @@ func (m *JobManager) Submit(req MineRequest) (*Job, error) {
 	case m.queue <- j:
 	default:
 		m.mu.Unlock()
-		return nil, ErrQueueFull
+		return nil, JobStatus{}, ErrQueueFull
 	}
 	m.jobs[j.id] = j
 	m.submits++
 	// Journal before acknowledging: once the caller sees the 202, the
 	// submission is on disk (fsynced) and survives a crash.
 	m.appendLocked(persist.JobRecord{Type: persist.RecSubmitted, ID: j.id, Time: j.created, Req: &j.req})
+	st := m.statusLocked(j)
 	m.mu.Unlock()
-	return j, nil
+	return j, st, nil
 }
 
 // appendLocked writes one journal record; the journal itself counts
@@ -182,6 +184,11 @@ func (m *JobManager) Cancel(id string) (JobState, bool) {
 func (m *JobManager) Status(j *Job) JobStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.statusLocked(j)
+}
+
+// statusLocked snapshots j; callers hold m.mu.
+func (m *JobManager) statusLocked(j *Job) JobStatus {
 	st := JobStatus{
 		ID:        j.id,
 		State:     j.state,

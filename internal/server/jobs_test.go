@@ -45,7 +45,7 @@ func TestJobLifecycleDone(t *testing.T) {
 	m := NewJobManager(context.Background(), 1, 4, blockingRun(started, release))
 	defer m.Shutdown(context.Background())
 
-	j, err := m.Submit(MineRequest{Dataset: "d1"})
+	j, _, err := m.Submit(MineRequest{Dataset: "d1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestJobCancelRunning(t *testing.T) {
 	m := NewJobManager(context.Background(), 1, 4, blockingRun(started, nil))
 	defer m.Shutdown(context.Background())
 
-	j, err := m.Submit(MineRequest{Dataset: "d1"})
+	j, _, err := m.Submit(MineRequest{Dataset: "d1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestJobCancelQueued(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	// Fill the single worker, then queue a second job.
-	j1, err := m.Submit(MineRequest{Dataset: "running"})
+	j1, _, err := m.Submit(MineRequest{Dataset: "running"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	j2, err := m.Submit(MineRequest{Dataset: "queued"})
+	j2, _, err := m.Submit(MineRequest{Dataset: "queued"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +136,14 @@ func TestJobQueueFullAndDraining(t *testing.T) {
 	started := make(chan string, 1)
 	m := NewJobManager(context.Background(), 1, 1, blockingRun(started, nil))
 
-	if _, err := m.Submit(MineRequest{Dataset: "a"}); err != nil {
+	if _, _, err := m.Submit(MineRequest{Dataset: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy
-	if _, err := m.Submit(MineRequest{Dataset: "b"}); err != nil {
+	if _, _, err := m.Submit(MineRequest{Dataset: "b"}); err != nil {
 		t.Fatal(err) // fills the queue
 	}
-	if _, err := m.Submit(MineRequest{Dataset: "c"}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := m.Submit(MineRequest{Dataset: "c"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 
@@ -154,7 +154,7 @@ func TestJobQueueFullAndDraining(t *testing.T) {
 	if err := m.Shutdown(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired-deadline shutdown err = %v", err)
 	}
-	if _, err := m.Submit(MineRequest{Dataset: "d"}); !errors.Is(err, ErrDraining) {
+	if _, _, err := m.Submit(MineRequest{Dataset: "d"}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-shutdown submit err = %v, want ErrDraining", err)
 	}
 	st := m.Stats()
@@ -171,7 +171,7 @@ func TestJobShutdownDrainsInFlight(t *testing.T) {
 		runs.Add(1)
 		return blockingRun(started, release)(ctx, req)
 	})
-	j, err := m.Submit(MineRequest{Dataset: "slow"})
+	j, _, err := m.Submit(MineRequest{Dataset: "slow"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,18 @@ func (s *Server) mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 		return resp, nil
 	}
 	s.trace.Add("server.cache.misses", 1)
+	if s.missHook != nil {
+		s.missHook()
+	}
 	return s.flights.do(ctx, s.baseCtx, key, func(runCtx context.Context) (*MineResponse, error) {
+		// A flight for key may have completed, filled the cache and
+		// retired between the miss above and this flight's start; its
+		// result is then served instead of mining the key again.
+		if resp, ok := s.cache.recheck(key); ok {
+			s.trace.Add("server.cache.misses", -1)
+			s.trace.Add("server.cache.hits", 1)
+			return resp, nil
+		}
 		if req.Colocate != nil {
 			return s.computeColocation(runCtx, ds, key, *req.Colocate)
 		}

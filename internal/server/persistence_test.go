@@ -194,11 +194,11 @@ func TestJobManagerRecoverQueueOverflow(t *testing.T) {
 	m := NewJobManager(context.Background(), 1, 1, blockingRun(started, release))
 	defer m.Shutdown(context.Background())
 	// Fill the worker and the 1-slot queue before recovery.
-	if _, err := m.Submit(MineRequest{Dataset: "live1"}); err != nil {
+	if _, _, err := m.Submit(MineRequest{Dataset: "live1"}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := m.Submit(MineRequest{Dataset: "live2"}); err != nil {
+	if _, _, err := m.Submit(MineRequest{Dataset: "live2"}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -133,6 +133,9 @@ type Server struct {
 	// mineHook is a test seam invoked (when non-nil) before a cache-miss
 	// mine runs; returning an error aborts the run with it.
 	mineHook func(context.Context) error
+	// missHook is a test seam invoked (when non-nil) after a request
+	// missed the result cache and before it joins the flight group.
+	missHook func()
 }
 
 // New assembles a Server and starts its worker pool.
@@ -150,7 +153,7 @@ func New(opts Options) *Server {
 		started:   time.Now(),
 	}
 	if s.persist != nil {
-		s.store.Persist(s.persist)
+		s.store.Persist(s.persist, s.trace)
 		s.cache.Persist(s.persist, s.trace)
 	}
 	// Capacity eviction must not leak derived state: a digest the LRU

@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 )
 
@@ -242,5 +246,72 @@ func TestFlightAbandonedWhenAllWaitersLeave(t *testing.T) {
 	}
 	if n := g.trace.Counters()["coalesce.leaders"]; n != 2 {
 		t.Errorf("coalesce.leaders = %d, want 2", n)
+	}
+}
+
+// TestMineRechecksCacheBeforeComputing pins the check-then-act race
+// between the result cache and the flight group, in the one order that
+// used to mine a key twice: a follower misses the cache, the leader's
+// flight completes, fills the cache and retires, and only then does the
+// follower reach the flight group. The follower must be served the
+// cached result instead of starting a second computation.
+func TestMineRechecksCacheBeforeComputing(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown(context.Background())
+	table, err := dataset.ReadTableCSV(strings.NewReader("r1,a,b\nr2,a,b\nr3,a,c\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := s.store.PutTable([]byte("r1,a,b\nr2,a,b\nr3,a,c\n"), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := MineRequest{Dataset: sd.Digest, Config: core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}}
+
+	// The first request to miss (the follower) parks between its cache
+	// miss and flights.do until the test releases it.
+	missed := make(chan struct{})
+	release := make(chan struct{})
+	var misses atomic.Int32
+	s.missHook = func() {
+		if misses.Add(1) == 1 {
+			close(missed)
+			<-release
+		}
+	}
+	type result struct {
+		resp *MineResponse
+		err  error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		resp, err := s.mine(context.Background(), req)
+		follower <- result{resp, err}
+	}()
+	<-missed
+
+	// The leader runs its whole flight while the follower is parked.
+	if _, err := s.mine(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.flights.inFlight(); n != 0 {
+		t.Fatalf("leader's flight not retired: %d in flight", n)
+	}
+	close(release)
+	got := <-follower
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if !got.resp.Cached {
+		t.Error("follower was not served from the cache")
+	}
+	if runs := s.trace.Counter("server.mine.runs"); runs != 1 {
+		t.Errorf("server.mine.runs = %d, want 1: the follower mined the key again", runs)
+	}
+	if st := s.cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache stats = %+v, want the follower counted as one hit and the leader as one miss", st)
+	}
+	if hits, misses := s.trace.Counter("server.cache.hits"), s.trace.Counter("server.cache.misses"); hits != 1 || misses != 1 {
+		t.Errorf("trace counters hits=%d misses=%d, want 1 and 1 as in the cache stats", hits, misses)
 	}
 }

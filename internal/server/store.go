@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
+	"log"
 	"sort"
 	"sync"
 
 	"repro/api"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 )
 
 // DatasetKind discriminates the two upload formats.
@@ -58,6 +62,7 @@ type Store struct {
 	lru       *lru[string, *StoredDataset]
 	evictions int64
 	persist   DatasetPersistence     // nil = memory-only
+	trace     *obs.Trace             // reload stage sink (may be nil)
 	onEvict   func(digests []string) // called outside mu with LRU-evicted digests
 }
 
@@ -66,8 +71,12 @@ func NewStore(maxEntries int, maxBytes int64) *Store {
 	return &Store{lru: newLRU[string, *StoredDataset](maxEntries, maxBytes)}
 }
 
-// Persist attaches the durable tier. Set before serving traffic.
-func (s *Store) Persist(p DatasetPersistence) { s.persist = p }
+// Persist attaches the durable tier (and the trace its reload decodes
+// are timed on, as the "load" stage). Set before serving traffic.
+func (s *Store) Persist(p DatasetPersistence, trace *obs.Trace) {
+	s.persist = p
+	s.trace = trace
+}
 
 // OnEvict registers a callback receiving the digests the LRU evicted
 // (capacity pressure only — Delete is the caller's own act). The
@@ -125,7 +134,10 @@ func (s *Store) insert(sd *StoredDataset) {
 // Get returns the dataset stored under digest, refreshing its recency.
 // On a memory miss with a durable tier attached, the persisted bytes
 // are re-parsed and re-admitted to the LRU, so datasets survive both
-// restarts and capacity evictions.
+// restarts and capacity evictions. A persisted dataset that fails to
+// reload (a corrupt file, or a body the current parser rejects) is
+// reported as absent, logged, and counted under
+// server.persist.reload_errors.
 func (s *Store) Get(digest string) (*StoredDataset, bool) {
 	s.mu.Lock()
 	if sd, ok := s.lru.get(digest); ok {
@@ -138,6 +150,10 @@ func (s *Store) Get(digest string) (*StoredDataset, bool) {
 	}
 	sd, err := s.reload(digest)
 	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.trace.Add("server.persist.reload_errors", 1)
+			log.Printf("server: persisted dataset %s not reloaded, answering as unknown: %v", digest, err)
+		}
 		return nil, false
 	}
 	s.insert(sd)
@@ -152,9 +168,11 @@ func (s *Store) reload(digest string) (*StoredDataset, error) {
 		return nil, err
 	}
 	sd := &StoredDataset{Digest: digest, Kind: kind, Bytes: int64(len(body))}
+	sp := s.trace.Stage("load")
+	defer sp.End()
 	switch kind {
 	case KindScene:
-		d, err := dataset.ReadJSON(bytes.NewReader(body))
+		d, err := dataset.ParseJSON(body)
 		if err != nil {
 			return nil, fmt.Errorf("server: re-parsing persisted scene %s: %w", digest, err)
 		}
