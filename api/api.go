@@ -114,13 +114,11 @@ type MineRequest struct {
 // ColocateRequest is the body of POST /v1/colocate and POST
 // /v1/colocate/jobs: which stored scene to mine and the co-location
 // configuration (neighborhood distance, minimum participation index,
-// optional size cap, worker fan-out, candidate engine, and top-k
-// truncation). The config's "engine" field ("joinless", the default,
-// or "clique") picks the candidate-evaluation strategy only — both
-// engines return identical results, so the server's result cache
-// deliberately ignores it and a clique run can be served from a
-// joinless run's cache entry. "topK" > 0 keeps only the k highest-PI
-// prevalent patterns (ties broken by smaller size, then name order).
+// optional size cap, worker fan-out, and top-k truncation). "topK" > 0
+// keeps only the k highest-PI prevalent patterns (ties broken by
+// smaller size, then name order). The retired "engine" member is still
+// accepted and ignored when it is "joinless" or "clique"; any other
+// value, like any unknown member, is a 400.
 type ColocateRequest struct {
 	// Dataset is the digest returned by a scene upload.
 	Dataset string `json:"dataset"`

@@ -227,6 +227,47 @@ func TestRunBadFlagsErrorNotOnStdout(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadMinConfidence: a rule confidence outside [0, 1] (or
+// NaN) is a post-parse validation error (exit 1) naming the field, not
+// a silently empty or unfiltered rule list.
+func TestRunRejectsBadMinConfidence(t *testing.T) {
+	table := writeTempTable(t)
+	for _, conf := range []string{"1.5", "-0.2", "NaN", "+Inf"} {
+		for _, args := range [][]string{
+			{"-sample", "-minsup", "0.3", "-rules", "-minconf", conf},
+			{"-sample", "-minsup", "0.3", "-minconf", conf},
+			{"-table", table, "-minsup", "0.5", "-rules", "-minconf", conf},
+		} {
+			var stdout, stderr bytes.Buffer
+			err := run(args, &stdout, &stderr)
+			if err == nil || errors.Is(err, errUsage) {
+				t.Errorf("run(%q) = %v, want a validation error (exit 1)", args, err)
+				continue
+			}
+			if !strings.Contains(err.Error(), "minConfidence") {
+				t.Errorf("run(%q) error %q does not name minConfidence", args, err)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("run(%q) mined before failing: %q", args, stdout.String())
+			}
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-sample", "-minsup", "0.3", "-rules", "-minconf", "1"}, &stdout, &stderr); err != nil {
+		t.Errorf("-minconf 1 is in range but failed: %v", err)
+	}
+}
+
+// writeTempTable writes a small transaction CSV and returns its path.
+func writeTempTable(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "table.csv")
+	if err := os.WriteFile(path, []byte("r1,a,b\nr2,a,b\nr3,a,c\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestRunVersionFlag: -version prints the build stamp to stdout and
 // exits successfully without mining.
 func TestRunVersionFlag(t *testing.T) {

@@ -8,7 +8,6 @@
 //
 //	qsrmined -addr :8080
 //	qsrmined -addr :8080 -workers 4 -queue 128 -default-timeout 30s
-//	qsrmined -addr :8080 -batch-window 2ms -batch-max 32   # micro-batch small sync mines
 //	qsrmined -addr :8080 -data-dir /var/lib/qsrmined   # durable node: survive restarts
 //	qsrmined -addr :8090 -peers localhost:8081,localhost:8082   # front node: route, don't mine
 //	qsrmined -dump-sample scene.json   # write the Porto Alegre sample scene and exit
@@ -33,6 +32,10 @@
 // peer list, replicates uploads to -replicas peers, and fails over to
 // the next ring candidate when a peer is down. Responses are forwarded
 // byte-for-byte.
+//
+// Numeric limits must not be negative: -workers -3 or -queue -5 is a
+// usage error (exit 2), not a request for the default. A zero value
+// keeps the server's built-in default.
 //
 // SIGINT/SIGTERM drain gracefully: new submissions get 503, in-flight
 // jobs finish (or are cancelled at the drain deadline), the listener
@@ -92,8 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxUpload    = fs.Int64("max-upload", 32<<20, "maximum request body bytes")
 		defTimeout   = fs.Duration("default-timeout", 60*time.Second, "default per-request mining deadline")
 		drainWait    = fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown drain deadline")
-		batchWindow  = fs.Duration("batch-window", 0, "micro-batch window for sync /v1/mine (0 = batching off)")
-		batchMax     = fs.Int("batch-max", 16, "maximum requests per micro-batch")
 		dataDir      = fs.String("data-dir", "", "directory for durable state (datasets, results, job journal); empty = memory-only")
 		peerList     = fs.String("peers", "", "comma-separated peer base URLs; non-empty makes this a routing front node")
 		replicas     = fs.Int("replicas", 2, "dataset replicas per digest (front node)")
@@ -106,6 +107,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if err := rejectNegative(fs); err != nil {
+		return err
 	}
 	if *version {
 		fmt.Fprintln(stdout, "qsrmined", buildinfo.String())
@@ -149,8 +153,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			CacheMaxEntries: *cacheEntries,
 			MaxUploadBytes:  *maxUpload,
 			DefaultTimeout:  *defTimeout,
-			BatchWindow:     *batchWindow,
-			BatchMax:        *batchMax,
 			AccessLog:       logw,
 		}
 		if *dataDir != "" {
@@ -194,6 +196,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "qsrmined: drain deadline hit, remaining jobs cancelled (%v)\n", jobsErr)
 	}
 	fmt.Fprintln(stderr, "qsrmined: shut down cleanly")
+	return nil
+}
+
+// nonNegative names the numeric flags for which a negative value is a
+// usage error.
+var nonNegative = []string{
+	"workers", "queue", "store-max-entries", "store-max-bytes", "cache-max-entries",
+	"max-upload", "replicas", "default-timeout", "drain-timeout",
+}
+
+// rejectNegative fails, in the flag package's own error style, on the
+// first nonNegative flag holding a negative value.
+func rejectNegative(fs *flag.FlagSet) error {
+	for _, name := range nonNegative {
+		f := fs.Lookup(name)
+		var negative bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			negative = v < 0
+		case int64:
+			negative = v < 0
+		case time.Duration:
+			negative = v < 0
+		}
+		if negative {
+			fmt.Fprintf(fs.Output(), "invalid value %q for flag -%s: must not be negative\n", f.Value, name)
+			fs.Usage()
+			return fmt.Errorf("%w: -%s %s", errUsage, name, f.Value)
+		}
+	}
 	return nil
 }
 

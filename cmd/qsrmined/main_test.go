@@ -86,3 +86,36 @@ func TestRunBadFlags(t *testing.T) {
 		t.Errorf("stderr %q does not name the bad flag", stderr.String())
 	}
 }
+
+// TestRunRejectsNegativeLimits: a negative numeric limit is a usage
+// error naming the flag, never silently replaced by the default.
+func TestRunRejectsNegativeLimits(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workers", "-3"},
+		{"-queue", "-5"},
+		{"-store-max-entries", "-1"},
+		{"-store-max-bytes", "-1"},
+		{"-cache-max-entries", "-1"},
+		{"-max-upload", "-1"},
+		{"-replicas", "-2"},
+		{"-default-timeout", "-1s"},
+		{"-drain-timeout", "-1ms"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append(args, "-version"), &stdout, &stderr)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("%v: err = %v, want errUsage (exit 2)", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: stdout = %q, want empty", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), args[0]+":") {
+			t.Errorf("%v: stderr %q does not name the flag", args, stderr.String())
+		}
+	}
+	// Zero keeps the built-in default and is not an error.
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-workers", "0", "-queue", "0", "-version"}, &stdout, &stderr); err != nil {
+		t.Errorf("zero limits rejected: %v", err)
+	}
+}

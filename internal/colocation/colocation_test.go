@@ -247,7 +247,6 @@ func TestConfigValidate(t *testing.T) {
 		{Distance: 1, MinPI: math.NaN()},
 		{Distance: 1, MinPI: 0.5, MaxSize: -1},
 		{Distance: 1, MinPI: 0.5, Parallelism: -2},
-		{Distance: 1, MinPI: 0.5, Engine: "starjoin"},
 		{Distance: 1, MinPI: 0.5, TopK: -1},
 	}
 	for _, cfg := range bad {
@@ -257,8 +256,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, good := range []colocation.Config{
 		{Distance: 0, MinPI: 1},
-		{Distance: 1, MinPI: 0.5, Engine: colocation.EngineClique},
-		{Distance: 1, MinPI: 0.5, Engine: colocation.EngineJoinless, TopK: 3},
+		{Distance: 1, MinPI: 0.5, TopK: 3},
 	} {
 		if err := good.Validate(); err != nil {
 			t.Errorf("Validate(%+v): %v", good, err)
@@ -268,13 +266,24 @@ func TestConfigValidate(t *testing.T) {
 
 // TestParseConfig: strictness of the wire decoder.
 func TestParseConfig(t *testing.T) {
-	cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"parallelism":2,"engine":"clique","topK":5}`))
+	want := colocation.Config{Distance: 2, MinPI: 0.4, MaxSize: 3, Parallelism: 2, TopK: 5}
+	cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"parallelism":2,"topK":5}`))
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	if cfg.Distance != 2 || cfg.MinPI != 0.4 || cfg.MaxSize != 3 || cfg.Parallelism != 2 ||
-		cfg.Engine != colocation.EngineClique || cfg.TopK != 5 {
-		t.Fatalf("cfg = %+v", cfg)
+	if cfg != want {
+		t.Fatalf("cfg = %+v, want %+v", cfg, want)
+	}
+	// The retired engine member still decodes, as a no-op, for either
+	// former strategy (and the empty default).
+	for _, eng := range []string{`"joinless"`, `"clique"`, `""`, `null`} {
+		cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"parallelism":2,"engine":` + eng + `,"topK":5}`))
+		if err != nil {
+			t.Fatalf("engine %s: ParseConfig: %v", eng, err)
+		}
+		if cfg != want {
+			t.Fatalf("engine %s: cfg = %+v, want %+v", eng, cfg, want)
+		}
 	}
 	for _, bad := range []string{
 		``,
@@ -286,6 +295,8 @@ func TestParseConfig(t *testing.T) {
 		`{"distance":"far","minPI":0.5}`,      // wrong type
 		`[{"distance":1,"minPI":0.5}]`,        // wrong shape
 		`{"distance":1,"minPI":0.5,"engine":"starjoin"}`, // unknown engine
+		`{"distance":1,"minPI":0.5,"engine":7}`,          // engine of the wrong type
+		`{"distance":1,"minPI":0.5,"Engine":"pairs"}`,    // case-folded member name
 		`{"distance":1,"minPI":0.5,"topK":-3}`,           // negative topK
 	} {
 		if _, err := colocation.ParseConfig([]byte(bad)); err == nil {

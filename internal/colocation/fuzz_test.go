@@ -19,6 +19,9 @@ func FuzzColocationConfig(f *testing.F) {
 		`{"distance":1,"minPI":0.5,"engine":"joinless"}`,
 		`{"distance":1,"minPI":0.5,"engine":"clique","topK":2}`,
 		`{"distance":1,"minPI":0.5,"engine":"starjoin"}`,
+		`{"distance":1,"minPI":0.5,"engine":""}`,
+		`{"distance":1,"minPI":0.5,"engine":null,"maxSize":2}`,
+		`{"distance":1,"minPI":0.5,"engine":1}`,
 		`{"distance":1,"minPI":0.5,"topK":-1}`,
 		`{"distance":1e-9,"minPI":0.0001}`,
 		`{"distance":-1,"minPI":0.5}`,

@@ -96,8 +96,9 @@ type Config struct {
 	// Eclat walk workers): 1 or negative is sequential, 0 uses
 	// GOMAXPROCS. Results are identical at any setting.
 	Parallelism int
-	// MinConfidence gates rule generation; rules are skipped when 0 and
-	// GenerateRules is false.
+	// MinConfidence is the minimum rule confidence in [0, 1], used when
+	// GenerateRules is set; values outside that range (or NaN) are
+	// rejected either way.
 	MinConfidence float64
 	// GenerateRules enables the association-rule stage.
 	GenerateRules bool
@@ -147,6 +148,11 @@ func Run(d *dataset.Dataset, cfg Config) (*Outcome, error) {
 // transact.DefaultOptions. Any deliberately non-zero Options with all
 // relation families off performs attributes-only extraction.
 func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Outcome, error) {
+	// Reject a config the mining stages cannot run before paying for
+	// extraction.
+	if _, err := EffectiveMiningConfig(cfg); err != nil {
+		return nil, err
+	}
 	opts := cfg.Extraction
 	if opts.IsZero() {
 		opts = transact.DefaultOptions()
@@ -167,8 +173,12 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Outcome, 
 // Apriori-KC applies only Φ, and every KC+ engine forces same-feature
 // filtering on — so any code that re-derives or patches a result (the
 // delta mining path in particular) must use these effective semantics,
-// not the raw request config.
+// not the raw request config. It fails on a config no pipeline stage
+// can run: an unknown algorithm or a MinConfidence outside [0, 1].
 func EffectiveMiningConfig(cfg Config) (mining.Config, error) {
+	if c := cfg.MinConfidence; !(c >= 0 && c <= 1) {
+		return mining.Config{}, fmt.Errorf("core: minConfidence must be in [0, 1] (got %v)", c)
+	}
 	mcfg := mining.Config{
 		MinSupport:   cfg.MinSupport,
 		Dependencies: cfg.Dependencies,

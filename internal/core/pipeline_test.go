@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -107,6 +108,22 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := RunTable(table, Config{Algorithm: AlgApriori, MinSupport: 0.5, PostFilter: PostFilter(9)}); err == nil {
 		t.Error("unknown post filter should fail")
+	}
+	for _, conf := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		for _, rules := range []bool{true, false} {
+			cfg := Config{Algorithm: AlgAprioriKCPlus, MinSupport: 0.5, GenerateRules: rules, MinConfidence: conf}
+			if _, err := RunTable(table, cfg); err == nil || !strings.Contains(err.Error(), "minConfidence") {
+				t.Errorf("RunTable with MinConfidence %v (rules %v): err = %v, want one naming minConfidence", conf, rules, err)
+			}
+			if _, err := Run(dataset.PortoAlegreScene(), cfg); err == nil || !strings.Contains(err.Error(), "minConfidence") {
+				t.Errorf("Run with MinConfidence %v (rules %v): err = %v, want one naming minConfidence", conf, rules, err)
+			}
+		}
+	}
+	for _, conf := range []float64{0, 1} {
+		if _, err := RunTable(table, Config{Algorithm: AlgAprioriKCPlus, MinSupport: 0.5, GenerateRules: true, MinConfidence: conf}); err != nil {
+			t.Errorf("MinConfidence %v is in range but failed: %v", conf, err)
+		}
 	}
 	if _, err := Run(&dataset.Dataset{}, Config{Algorithm: AlgApriori, MinSupport: 0.5}); err == nil ||
 		!strings.Contains(err.Error(), "extraction") {

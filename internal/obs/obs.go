@@ -36,8 +36,7 @@ const (
 	// counts.
 	KindPass
 	// KindAnnotation is a free-form note attached to a named subsystem —
-	// the server emits one per HTTP request (carrying the request ID) and
-	// one per micro-batch flush (carrying size and flush reason).
+	// the server emits one per HTTP request (carrying the request ID).
 	KindAnnotation
 )
 

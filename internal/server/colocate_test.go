@@ -217,58 +217,80 @@ func TestColocateCacheKeyDisjoint(t *testing.T) {
 	}
 }
 
-// TestColocateCacheKeyIgnoresEngine: the Engine knob selects a
-// strategy, not a result, so every engine spelling of one config maps
-// to a single cache entry.
-func TestColocateCacheKeyIgnoresEngine(t *testing.T) {
-	base, err := ColocateCacheKey("d", colocation.Config{Distance: 1, MinPI: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []colocation.Engine{colocation.EngineClique, colocation.EngineJoinless} {
-		key, err := ColocateCacheKey("d", colocation.Config{Distance: 1, MinPI: 0.5, Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key != base {
-			t.Fatalf("engine %q forked the cache key: %q vs %q", eng, key, base)
-		}
-	}
-}
-
-// TestColocateEngineSharesCacheEntry: end to end, a clique request
-// followed by a joinless request of the same config is one engine run
-// and one cache entry — the second POST is a counter-verified cache
-// hit with an identical body.
-func TestColocateEngineSharesCacheEntry(t *testing.T) {
+// TestColocateLegacyEngineWireCompat: the retired "engine" member of a
+// colocate config still decodes as a no-op for "joinless" and "clique"
+// — a legacy request is a counter-verified hit on the engine-less
+// request's cache entry, with an identical body — while any other
+// engine value and any unknown member stay a 400, on the sync and async
+// routes and inside an embedded MineRequest.Colocate alike.
+func TestColocateLegacyEngineWireCompat(t *testing.T) {
 	s := New(Options{})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	info := uploadSampleScene(t, ts.Client(), ts.URL+"/v1")
+	body := func(config string) []byte {
+		return []byte(fmt.Sprintf(`{"dataset":%q,"config":%s}`, info.Digest, config))
+	}
 
-	cfg := colocation.Config{Distance: 3, MinPI: 0.2, Engine: colocation.EngineClique}
 	var first api.MineResponse
-	status, raw := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate", colocateBody(t, info.Digest, cfg), &first)
+	status, raw := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate", body(`{"distance":3,"minPI":0.2}`), &first)
 	if status != http.StatusOK {
-		t.Fatalf("clique colocate: %d %s", status, raw)
+		t.Fatalf("colocate: %d %s", status, raw)
 	}
 	runs := s.trace.Counter("server.colocate.runs")
-
-	cfg.Engine = colocation.EngineJoinless
-	var second api.MineResponse
-	status, raw = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate", colocateBody(t, info.Digest, cfg), &second)
-	if status != http.StatusOK {
-		t.Fatalf("joinless colocate: %d %s", status, raw)
-	}
-	if !second.Cached {
-		t.Fatalf("joinless request after clique run not served from cache: %s", raw)
+	for _, engine := range []string{"clique", "joinless"} {
+		hits := s.cache.Stats().Hits
+		var legacy api.MineResponse
+		status, raw = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate",
+			body(`{"distance":3,"minPI":0.2,"engine":"`+engine+`"}`), &legacy)
+		if status != http.StatusOK {
+			t.Fatalf("legacy engine %q: %d %s", engine, status, raw)
+		}
+		if !legacy.Cached || s.cache.Stats().Hits != hits+1 {
+			t.Fatalf("legacy engine %q not a counted cache hit (hits %d -> %d): %s", engine, hits, s.cache.Stats().Hits, raw)
+		}
+		legacy.Cached = false
+		if !reflect.DeepEqual(legacy, first) {
+			t.Fatalf("legacy engine %q served a different body:\n got %+v\nwant %+v", engine, legacy, first)
+		}
 	}
 	if got := s.trace.Counter("server.colocate.runs"); got != runs {
-		t.Fatalf("engine switch re-ran the miner: runs %d -> %d", runs, got)
+		t.Fatalf("legacy engine requests re-ran the miner: runs %d -> %d", runs, got)
 	}
-	second.Cached = false
-	if !reflect.DeepEqual(second, first) {
-		t.Fatalf("engines served different bodies:\n clique %+v\njoinless %+v", first, second)
+	status, raw = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate/jobs",
+		body(`{"distance":3,"minPI":0.2,"engine":"clique"}`), nil)
+	if status != http.StatusAccepted {
+		t.Fatalf("legacy engine job: %d %s", status, raw)
+	}
+
+	for _, path := range []string{"/v1/colocate", "/v1/colocate/jobs"} {
+		for _, config := range []string{
+			`{"distance":3,"minPI":0.2,"engine":"starjoin"}`,
+			`{"distance":3,"minPI":0.2,"nope":1}`,
+		} {
+			status, raw := doJSON(t, ts.Client(), "POST", ts.URL+path, body(config), nil)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s %s: %d %s, want 400", path, config, status, raw)
+			}
+			if eb := decodeEnvelope(t, raw); eb.Code != api.CodeBadRequest {
+				t.Fatalf("%s %s: code %q, want %q", path, config, eb.Code, api.CodeBadRequest)
+			}
+		}
+	}
+
+	// The embedded form (the job journal's record) decodes the same way,
+	// strictly even without DisallowUnknownFields on the outer decoder.
+	var req MineRequest
+	if err := json.Unmarshal([]byte(`{"dataset":"d","config":{"minSupport":0.5},"colocate":{"distance":3,"minPI":0.2,"engine":"clique"}}`), &req); err != nil {
+		t.Fatalf("legacy embedded colocate config: %v", err)
+	}
+	if *req.Colocate != (colocation.Config{Distance: 3, MinPI: 0.2}) {
+		t.Fatalf("legacy embedded colocate config decoded to %+v", *req.Colocate)
+	}
+	for _, colocate := range []string{`{"distance":3,"minPI":0.2,"engine":"starjoin"}`, `{"distance":3,"minPI":0.2,"nope":1}`} {
+		if err := json.Unmarshal([]byte(`{"dataset":"d","colocate":`+colocate+`}`), &req); err == nil {
+			t.Fatalf("embedded colocate config %s accepted", colocate)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/api"
 	"repro/internal/buildinfo"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
 )
@@ -294,11 +295,16 @@ func (s *Server) decodeMineRequest(w http.ResponseWriter, r *http.Request) (Mine
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "minSupport must be in (0, 1]")
 		return MineRequest{}, false
 	}
+	// The decode already pinned the enums; this rejects the remaining
+	// out-of-range values (minConfidence) before anything is queued.
+	if _, err := core.EffectiveMiningConfig(req.Config); err != nil {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		return MineRequest{}, false
+	}
 	return req, true
 }
 
-// handleMine mines synchronously under the request deadline, routing
-// through the micro-batcher when one is configured.
+// handleMine mines synchronously under the request deadline.
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w, r) {
 		return
@@ -309,13 +315,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req))
 	defer cancel()
-	var resp *MineResponse
-	var err error
-	if s.batcher != nil {
-		resp, err = s.batcher.Do(ctx, req)
-	} else {
-		resp, err = s.mine(ctx, req)
-	}
+	resp, err := s.mine(ctx, req)
 	if err != nil {
 		s.writeMineError(w, r, err)
 		return
@@ -415,8 +415,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServerMetrics is the /metrics document: the obs snapshot (stage
-// spans, mining passes, counters — including the coalesce.*, batch.*
-// and eclat worker fan-out counters) plus the service-level
+// spans, mining passes, counters — including the coalesce.* and eclat
+// worker fan-out counters) plus the service-level
 // store/cache/job statistics and, on a node with -data-dir, the
 // persistence-tier block.
 type ServerMetrics struct {

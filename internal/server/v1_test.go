@@ -99,14 +99,21 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		name, method, path, body string
 		wantStatus               int
 		wantCode                 api.ErrorCode
+		wantMessage              string // substring; "" skips the check
 	}{
-		{"unknown route", "GET", "/v1/nope", "", 404, api.CodeNotFound},
-		{"garbage body", "POST", "/v1/mine", "}{", 400, api.CodeBadRequest},
-		{"unknown dataset", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, api.CodeNotFound},
-		{"unknown job", "GET", "/v1/jobs/j000000-00000042", "", 404, api.CodeNotFound},
+		{"unknown route", "GET", "/v1/nope", "", 404, api.CodeNotFound, ""},
+		{"garbage body", "POST", "/v1/mine", "}{", 400, api.CodeBadRequest, ""},
+		{"unknown dataset", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, api.CodeNotFound, ""},
+		{"unknown job", "GET", "/v1/jobs/j000000-00000042", "", 404, api.CodeNotFound, ""},
 		{"engine config error", "POST", "/v1/mine",
 			fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.5,"counting":"horizontal"}}`, info.Digest),
-			422, api.CodeConfigInvalid},
+			422, api.CodeConfigInvalid, ""},
+		{"minConfidence above 1", "POST", "/v1/mine",
+			fmt.Sprintf(`{"dataset":%q,"config":{"minSupport":0.5,"generateRules":true,"minConfidence":1.5}}`, info.Digest),
+			400, api.CodeBadRequest, "minConfidence"},
+		{"negative minConfidence job", "POST", "/v1/jobs",
+			fmt.Sprintf(`{"dataset":%q,"config":{"minSupport":0.5,"minConfidence":-0.1}}`, info.Digest),
+			400, api.CodeBadRequest, "minConfidence"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,6 +124,9 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 			eb := decodeEnvelope(t, raw)
 			if eb.Code != tc.wantCode {
 				t.Errorf("code %q, want %q", eb.Code, tc.wantCode)
+			}
+			if !strings.Contains(eb.Message, tc.wantMessage) {
+				t.Errorf("message %q does not name %q", eb.Message, tc.wantMessage)
 			}
 			if eb.RequestID == "" {
 				t.Error("envelope missing requestId")
