@@ -219,30 +219,6 @@ func BenchmarkFilterPlacement(b *testing.B) {
 	})
 }
 
-// BenchmarkJoin compares the spatial-join candidate filters during
-// predicate extraction (DESIGN.md ablation 3).
-func BenchmarkJoin(b *testing.B) {
-	benchSetup(b)
-	for _, idx := range []struct {
-		name string
-		kind transact.IndexKind
-	}{
-		{"RTree", transact.RTreeIndex},
-		{"Grid", transact.GridIndex},
-		{"NestedLoop", transact.NoIndex},
-	} {
-		b.Run(idx.name, func(b *testing.B) {
-			opts := transact.DefaultOptions()
-			opts.Index = idx.kind
-			for i := 0; i < b.N; i++ {
-				if _, err := transact.Extract(benchScene, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSensitivitySamePairs quantifies the paper's closing remark
 // ("the higher the number of ... meaningless combinations, the more
 // efficient is Apriori-KC+") by mining vocabularies with increasing

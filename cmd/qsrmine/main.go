@@ -14,6 +14,10 @@
 //	qsrmine -sample -trace                  # per-stage wall time + per-pass counts
 //	qsrmine -sample -json-metrics           # machine-readable stage/pass metrics
 //	qsrmine -data city.json -timeout 30s    # abort runaway low-support runs
+//
+// -top and -timeout must not be negative: -top -3 or -timeout -1s is a
+// usage error (exit 2). -parallelism keeps its meaning that a negative
+// value runs sequentially.
 package main
 
 import (
@@ -90,6 +94,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{{"top", *maxShow < 0}, {"timeout", *timeout < 0}} {
+		if f.negative {
+			v := fs.Lookup(f.name).Value
+			fmt.Fprintf(stderr, "invalid value %q for flag -%s: must not be negative\n", v, f.name)
+			fs.Usage()
+			return fmt.Errorf("%w: -%s %s", errUsage, f.name, v)
+		}
 	}
 	if *version {
 		fmt.Fprintln(stdout, "qsrmine", buildinfo.String())

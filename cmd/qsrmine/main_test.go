@@ -227,6 +227,44 @@ func TestRunBadFlagsErrorNotOnStdout(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeTopAndTimeout: -top and -timeout have no
+// negative meaning, so a negative value is a usage error (exit 2) that
+// names the flag on stderr and mines nothing; zero keeps meaning "all"
+// and "no limit", and a negative -parallelism still runs sequentially.
+func TestRunRejectsNegativeTopAndTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-sample", "-minsup", "0.3", "-top", "-3"}, "-top"},
+		{[]string{"-sample", "-timeout", "-1s"}, "-timeout"},
+		{[]string{"-sample", "-colocate", "-top", "-1"}, "-top"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(tc.args, &stdout, &stderr)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("run(%q) = %v, want a usage error (exit 2)", tc.args, err)
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.flag) {
+			t.Errorf("run(%q) stderr %q does not name %s", tc.args, stderr.String(), tc.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%q) mined before failing: %q", tc.args, stdout.String())
+		}
+	}
+	for _, args := range [][]string{
+		{"-sample", "-minsup", "0.3", "-top", "0"},
+		{"-sample", "-timeout", "0"},
+		{"-sample", "-parallelism", "-2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Errorf("run(%q) = %v, want success", args, err)
+		}
+	}
+}
+
 // TestRunRejectsBadMinConfidence: a rule confidence outside [0, 1] (or
 // NaN) is a post-parse validation error (exit 1) naming the field, not
 // a silently empty or unfiltered rule list.

@@ -31,8 +31,8 @@ func TestIncrementalPipelineMatchesFromScratchParallel(t *testing.T) {
 func runIncrementalProperty(t *testing.T, parallelism int, seed int64) {
 	families := map[string]qsrmine.ExtractOptions{
 		"topo":      qsrmine.DefaultExtractOptions(),
-		"topo+dist": {Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(8), IncludeFarFrom: true, Index: qsrmine.DefaultExtractOptions().Index},
-		"dir":       {Directional: true, Index: qsrmine.DefaultExtractOptions().Index},
+		"topo+dist": {Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(8), IncludeFarFrom: true},
+		"dir":       {Directional: true},
 	}
 	for name, opts := range families {
 		opts := opts

@@ -13,10 +13,11 @@ import (
 // This file defines the JSON form of Config — the request-body contract
 // of the qsrmined HTTP service and a stable on-disk format for saved run
 // configurations. Every field round-trips; the enum fields (algorithm,
-// post filter, counting strategy, granularity, index) are spelled with
-// their canonical names via the types' TextMarshalers, and unknown names
-// or unknown JSON keys are rejected with a descriptive error rather than
-// silently ignored.
+// post filter, counting strategy, granularity) are spelled with their
+// canonical names via the types' TextMarshalers, and unknown names or
+// unknown JSON keys are rejected with a descriptive error rather than
+// silently ignored. The one exception is the retired extraction "index"
+// member, which still decodes (see legacyIndexKinds) but never encodes.
 
 // jsonConfig is the wire form of Config. Pointer/omitempty fields keep
 // the canonical encoding minimal, which matters because the server's
@@ -49,10 +50,16 @@ type jsonExtraction struct {
 	Directional     bool                 `json:"directional,omitempty"`
 	IncludeIsA      bool                 `json:"includeIsA,omitempty"`
 	Granularity     transact.Granularity `json:"granularity,omitempty"`
-	Index           transact.IndexKind   `json:"index,omitempty"`
+	Index           *string              `json:"index,omitempty"`
 	Discretizer     *jsonDiscretizer     `json:"discretizer,omitempty"`
 	Parallelism     int                  `json:"parallelism,omitempty"`
 }
+
+// legacyIndexKinds are the candidate-index names the retired extraction
+// "index" member used to select. Every index produced the same table, so
+// a config (or a journaled request) naming one of them decodes to the
+// same Config as one without the member; any other value is an error.
+var legacyIndexKinds = map[string]bool{"rtree": true, "grid": true, "none": true, "": true}
 
 // jsonThresholds spells qsr.DistanceThresholds.
 type jsonThresholds struct {
@@ -143,7 +150,6 @@ func extractionToJSON(o transact.Options) (*jsonExtraction, error) {
 		Directional:     o.Directional,
 		IncludeIsA:      o.IncludeIsA,
 		Granularity:     o.Granularity,
-		Index:           o.Index,
 		Parallelism:     o.Parallelism,
 	}
 	if o.Thresholds != (qsr.DistanceThresholds{}) {
@@ -161,6 +167,9 @@ func extractionToJSON(o transact.Options) (*jsonExtraction, error) {
 
 // extractionFromJSON converts the wire form back to transact.Options.
 func extractionFromJSON(je *jsonExtraction) (transact.Options, error) {
+	if je.Index != nil && !legacyIndexKinds[*je.Index] {
+		return transact.Options{}, fmt.Errorf("unknown index kind %q (the index member is retired; only rtree, grid, none, or empty are still accepted)", *je.Index)
+	}
 	o := transact.Options{
 		Topological:     je.Topological,
 		IncludeDisjoint: je.IncludeDisjoint,
@@ -169,7 +178,6 @@ func extractionFromJSON(je *jsonExtraction) (transact.Options, error) {
 		Directional:     je.Directional,
 		IncludeIsA:      je.IncludeIsA,
 		Granularity:     je.Granularity,
-		Index:           je.Index,
 		Parallelism:     je.Parallelism,
 	}
 	if je.Thresholds != nil {

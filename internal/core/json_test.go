@@ -34,7 +34,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 				Directional:     true,
 				IncludeIsA:      true,
 				Granularity:     transact.InstanceLevel,
-				Index:           transact.GridIndex,
 				Discretizer:     transact.EqualWidth{Bins: 4},
 				Parallelism:     3,
 			},
@@ -97,7 +96,7 @@ func TestConfigJSONEnumNames(t *testing.T) {
 		MinSupport: 0.5,
 		Counting:   mining.HorizontalCounting,
 		PostFilter: ClosedFilter,
-		Extraction: transact.Options{Topological: true, Granularity: transact.InstanceLevel, Index: transact.NoIndex},
+		Extraction: transact.Options{Topological: true, Granularity: transact.InstanceLevel},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,10 +106,43 @@ func TestConfigJSONEnumNames(t *testing.T) {
 		`"counting":"horizontal"`,
 		`"postFilter":"closed"`,
 		`"granularity":"instance"`,
-		`"index":"none"`,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("marshaled config %s missing %s", data, want)
+		}
+	}
+	if strings.Contains(string(data), `"index"`) {
+		t.Errorf("marshaled config %s names the retired index member", data)
+	}
+
+	// The retired extraction "index" member still decodes for old
+	// clients and journaled requests: every former spelling yields the
+	// same Config as a document without the member, which re-marshals
+	// to the same bytes (one result-cache entry).
+	const plain = `{"algorithm":"apriori","minSupport":0.5,"extraction":{"topological":true,"granularity":"instance"}}`
+	var want Config
+	if err := json.Unmarshal([]byte(plain), &want); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"rtree", "grid", "none", ""} {
+		body := strings.Replace(plain, `"topological":true`, `"topological":true,"index":"`+kind+`"`, 1)
+		var got Config
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Fatalf("index %q: %v", kind, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("index %q decoded to %+v, want %+v", kind, got, want)
+		}
+		gotBytes, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotBytes) != string(wantBytes) {
+			t.Errorf("index %q re-marshals to %s, want %s", kind, gotBytes, wantBytes)
 		}
 	}
 }
@@ -127,6 +159,8 @@ func TestConfigJSONRejectsBadInput(t *testing.T) {
 		{"unknown counting", `{"algorithm":"apriori","counting":"diagonal"}`, "unknown counting strategy"},
 		{"unknown granularity", `{"algorithm":"apriori","extraction":{"granularity":"galaxy"}}`, "unknown granularity"},
 		{"unknown index", `{"algorithm":"apriori","extraction":{"index":"btree"}}`, "unknown index kind"},
+		{"unknown legacy index", `{"algorithm":"apriori","extraction":{"index":"kd"}}`, "unknown index kind"},
+		{"numeric index", `{"algorithm":"apriori","extraction":{"index":3}}`, "decoding config"},
 		{"unknown discretizer", `{"algorithm":"apriori","extraction":{"discretizer":{"kind":"psychic"}}}`, "unknown discretizer kind"},
 		{"unknown field", `{"algoritm":"apriori"}`, "unknown field"},
 		{"half dependency", `{"algorithm":"apriori","dependencies":[{"a":"x"}]}`, "dependency pair"},

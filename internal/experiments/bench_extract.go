@@ -23,8 +23,9 @@ import (
 type ExtractBenchResult struct {
 	// Name identifies the workload:
 	// "relate/<scenario>/<prepared|unprepared>" for per-pair rows and
-	// "extract/rows=<n>/<families>/<index>/<prepared|unprepared>" for
-	// whole-table rows.
+	// "extract/rows=<n>/<families>/rtree/<prepared|unprepared>" for
+	// whole-table rows (the R-tree is the only candidate index; the
+	// segment keeps the names of the committed baseline rows).
 	Name string `json:"name"`
 	// N is the number of timed iterations the harness settled on.
 	N int `json:"n"`
@@ -57,7 +58,7 @@ func benchNgon(n int, cx, cy, r float64) geom.Polygon {
 
 // ExtractBench measures the spatial-join workloads: per-pair DE-9IM
 // relates on polygon scenes and whole-table scene extraction across
-// row counts, candidate indexes, and the prepared/unprepared refine
+// row counts, relation families, and the prepared/unprepared refine
 // paths.
 func ExtractBench() ([]ExtractBenchResult, error) {
 	out := relatePairBench()
@@ -99,7 +100,7 @@ func relatePairBench() []ExtractBenchResult {
 }
 
 // extractTableBench measures whole-table extraction on generated scenes:
-// rows × relation families × candidate index × prepared/unprepared.
+// rows × relation families × prepared/unprepared.
 func extractTableBench() ([]ExtractBenchResult, error) {
 	type workload struct {
 		name string
@@ -110,15 +111,9 @@ func extractTableBench() ([]ExtractBenchResult, error) {
 	topoDist := topo
 	topoDist.Distance = true
 	topoDist.Thresholds = qsr.DefaultThresholds(10)
-	grid := topo
-	grid.Index = transact.GridIndex
-	nested := topo
-	nested.Index = transact.NoIndex
 	workloads := []workload{
 		{"extract/rows=100/topo/rtree", 10, topo},
 		{"extract/rows=100/topo+dist/rtree", 10, topoDist},
-		{"extract/rows=100/topo/grid", 10, grid},
-		{"extract/rows=100/topo/none", 10, nested},
 		{"extract/rows=400/topo/rtree", 20, topo},
 	}
 	var out []ExtractBenchResult

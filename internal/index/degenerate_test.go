@@ -7,10 +7,10 @@ import (
 )
 
 // The co-location neighborhood materialization leans on SearchDistance
-// and kNN edges harder than extraction does: zero-distance thresholds
-// (only coincident instances are neighbors), piles of exactly
-// coincident points, and empty layers. These tests pin those edges on
-// every index implementation.
+// edges harder than extraction does: zero-distance thresholds (only
+// coincident instances are neighbors), piles of exactly coincident
+// points, and empty layers. These tests pin those edges on the R-tree
+// and the Linear oracle.
 
 func pointItems(coords ...float64) []Item {
 	var items []Item
@@ -18,21 +18,6 @@ func pointItems(coords ...float64) []Item {
 		items = append(items, Item{Env: geom.Pt(coords[i], coords[i+1]).Envelope(), ID: i / 2})
 	}
 	return items
-}
-
-func degenerateBuilders() map[string]func([]Item) SpatialIndex {
-	return map[string]func([]Item) SpatialIndex{
-		"rtree-bulk": func(items []Item) SpatialIndex { return NewRTreeBulk(items) },
-		"rtree-insert": func(items []Item) SpatialIndex {
-			tr := &RTree{}
-			for _, it := range items {
-				tr.Insert(it)
-			}
-			return tr
-		},
-		"grid-bulk": func(items []Item) SpatialIndex { return NewGridBulk(items) },
-		"linear":    func(items []Item) SpatialIndex { return NewLinear(items) },
-	}
 }
 
 // TestSearchDistanceZeroThreshold: with d=0 only items whose envelope
@@ -46,7 +31,7 @@ func TestSearchDistanceZeroThreshold(t *testing.T) {
 		9, 9, // 3: far
 	)
 	q := geom.Pt(5, 5).Envelope()
-	for name, build := range degenerateBuilders() {
+	for name, build := range indexBuilders() {
 		got := sortedIDs(build(items).SearchDistance(q, 0, nil))
 		if !equalIDs(got, []int{0, 1}) {
 			t.Errorf("%s: SearchDistance(d=0) = %v, want [0 1]", name, got)
@@ -63,7 +48,7 @@ func TestSearchDistanceExactBoundary(t *testing.T) {
 	items = append(items, Item{Env: geom.Pt(3, 0).Envelope(), ID: 1})
 	items = append(items, Item{Env: geom.Pt(3.0000001, 0).Envelope(), ID: 2})
 	q := geom.Pt(0, 0).Envelope()
-	for name, build := range degenerateBuilders() {
+	for name, build := range indexBuilders() {
 		got := sortedIDs(build(items).SearchDistance(q, 3, nil))
 		if !equalIDs(got, []int{0, 1}) {
 			t.Errorf("%s: SearchDistance(d=3) = %v, want [0 1]", name, got)
@@ -72,7 +57,7 @@ func TestSearchDistanceExactBoundary(t *testing.T) {
 }
 
 // TestCoincidentPointPile: hundreds of items at one location must all
-// come back from both distance search and kNN, at any k.
+// come back from a zero-distance search.
 func TestCoincidentPointPile(t *testing.T) {
 	const n = 300
 	items := make([]Item, n)
@@ -80,23 +65,9 @@ func TestCoincidentPointPile(t *testing.T) {
 		items[i] = Item{Env: geom.Pt(7, 7).Envelope(), ID: i}
 	}
 	q := geom.Pt(7, 7).Envelope()
-	for name, build := range degenerateBuilders() {
-		idx := build(items)
-		if got := idx.SearchDistance(q, 0, nil); len(got) != n {
+	for name, build := range indexBuilders() {
+		if got := build(items).SearchDistance(q, 0, nil); len(got) != n {
 			t.Errorf("%s: SearchDistance over pile returned %d, want %d", name, len(got), n)
-		}
-		nn, ok := idx.(NearestNeighborer)
-		if !ok {
-			continue
-		}
-		for _, k := range []int{1, n / 2, n, n + 50} {
-			want := k
-			if want > n {
-				want = n
-			}
-			if got := nn.Nearest(q, k); len(got) != want {
-				t.Errorf("%s: Nearest(k=%d) over pile returned %d, want %d", name, k, len(got), want)
-			}
 		}
 	}
 }
@@ -105,28 +76,12 @@ func TestCoincidentPointPile(t *testing.T) {
 // distance query with nothing, at any threshold.
 func TestSearchDistanceEmptyIndex(t *testing.T) {
 	q := geom.Pt(1, 2).Envelope()
-	for name, build := range degenerateBuilders() {
+	for name, build := range indexBuilders() {
 		idx := build(nil)
 		for _, d := range []float64{0, 1, 1e9} {
 			if got := idx.SearchDistance(q, d, nil); len(got) != 0 {
 				t.Errorf("%s: empty index SearchDistance(d=%v) = %v", name, d, got)
 			}
-		}
-	}
-}
-
-// TestNearestOnCoincidentTies: kNN over exact ties is complete (every
-// returned item really is at distance zero) even when k splits the tie.
-func TestNearestOnCoincidentTies(t *testing.T) {
-	items := append(pointItems(4, 4, 4, 4, 4, 4), Item{Env: geom.Pt(50, 50).Envelope(), ID: 9})
-	rt := NewRTreeBulk(items)
-	got := rt.Nearest(geom.Pt(4, 4).Envelope(), 3)
-	if len(got) != 3 {
-		t.Fatalf("Nearest(3) = %v", got)
-	}
-	for _, id := range got {
-		if id == 9 {
-			t.Fatalf("Nearest(3) returned the far item over a zero-distance tie: %v", got)
 		}
 	}
 }

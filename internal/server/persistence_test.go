@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server/persist"
+	"repro/internal/transact"
 )
 
 // --- Satellite: eviction must invalidate derived state -------------------
@@ -375,6 +377,78 @@ func TestServerRestartDurability(t *testing.T) {
 	var h healthz
 	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/healthz", nil, &h); status != http.StatusOK || h.Persist != "disk" {
 		t.Fatalf("healthz = %d %s %+v, want persist: disk", status, raw, h)
+	}
+}
+
+// TestJournalReplaysLegacyIndexMember: an older server journaled each
+// submitted MineRequest verbatim, so a -data-dir WAL may still hold a
+// config naming the retired extraction "index" member. Recovery must
+// decode that record, re-enqueue the job under its original ID, and
+// mine it to the same result as the index-less config.
+func TestJournalReplaysLegacyIndexMember(t *testing.T) {
+	root := t.TempDir()
+	dir1, err := persist.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Options{Persistence: dir1})
+	ts1 := httptest.NewServer(s1.Handler())
+	info := uploadSampleScene(t, ts1.Client(), ts1.URL+"/v1")
+	ts1.Close()
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dir1.Close()
+
+	// A submitted-but-never-started record as an older build wrote it.
+	line := fmt.Sprintf(`{"t":%q,"id":"j-legacy-index","time":%q,"req":{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.3,"extraction":{"topological":true,"index":"none"}}}}`+"\n",
+		persist.RecSubmitted, time.Now().Format(time.RFC3339Nano), info.Digest)
+	f, err := os.OpenFile(filepath.Join(root, "jobs.wal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	dir2, err := persist.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir2.Close()
+	s2 := New(Options{Persistence: dir2})
+	defer s2.Shutdown(context.Background())
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+
+	var st JobStatus
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st = JobStatus{}
+		if status, raw := doJSON(t, ts2.Client(), "GET", ts2.URL+"/v1/jobs/j-legacy-index", nil, &st); status != http.StatusOK {
+			t.Fatalf("poll recovered legacy job: %d %s", status, raw)
+		}
+		if st.State == JobDone {
+			break
+		}
+		if st.State == JobFailed || st.State == JobCancelled || time.Now().After(deadline) {
+			t.Fatalf("recovered legacy job = %+v, want done", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.Result == nil || st.Lost {
+		t.Fatalf("recovered legacy job = %+v, want a result and no lost marker", st)
+	}
+
+	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3, Extraction: transact.Options{Topological: true}}
+	var fresh MineResponse
+	if status, raw := doJSON(t, ts2.Client(), "POST", ts2.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &fresh); status != http.StatusOK {
+		t.Fatalf("index-less mine: %d %s", status, raw)
+	}
+	if len(fresh.Frequent) != len(st.Result.Frequent) || fresh.Transactions != st.Result.Transactions {
+		t.Errorf("legacy job mined %d itemsets / %d transactions, index-less config %d / %d",
+			len(st.Result.Frequent), st.Result.Transactions, len(fresh.Frequent), fresh.Transactions)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -252,4 +253,49 @@ func TestRetryAfterOn503(t *testing.T) {
 			t.Errorf("code %q, want queue_full", env.Error.Code)
 		}
 	})
+}
+
+// TestMineLegacyIndexWireCompat: the retired extraction "index" member
+// still decodes for old clients. Naming a former index kind is a
+// counted hit on the index-less request's cache entry with an identical
+// body; any other index value is a 400 bad_request on the sync and
+// async routes.
+func TestMineLegacyIndexWireCompat(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	info := uploadSampleScene(t, ts.Client(), ts.URL+"/v1")
+	body := func(extraction string) []byte {
+		return []byte(fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.3,"extraction":%s}}`, info.Digest, extraction))
+	}
+
+	var first api.MineResponse
+	status, raw := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/mine", body(`{"topological":true}`), &first)
+	if status != http.StatusOK {
+		t.Fatalf("mine: %d %s", status, raw)
+	}
+	hits := s.cache.Stats().Hits
+	var legacy api.MineResponse
+	status, raw = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/mine", body(`{"topological":true,"index":"grid"}`), &legacy)
+	if status != http.StatusOK {
+		t.Fatalf("legacy index: %d %s", status, raw)
+	}
+	if !legacy.Cached || s.cache.Stats().Hits != hits+1 {
+		t.Fatalf("legacy index not a counted cache hit (hits %d -> %d): %s", hits, s.cache.Stats().Hits, raw)
+	}
+	legacy.Cached = false
+	if !reflect.DeepEqual(legacy, first) {
+		t.Fatalf("legacy index served a different body:\n got %+v\nwant %+v", legacy, first)
+	}
+
+	for _, path := range []string{"/v1/mine", "/v1/jobs"} {
+		status, raw := doJSON(t, ts.Client(), "POST", ts.URL+path, body(`{"topological":true,"index":"kd"}`), nil)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s index kd: %d %s, want 400", path, status, raw)
+		}
+		if eb := decodeEnvelope(t, raw); eb.Code != api.CodeBadRequest {
+			t.Fatalf("%s index kd: code %q, want %q", path, eb.Code, api.CodeBadRequest)
+		}
+	}
 }

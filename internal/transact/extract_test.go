@@ -13,26 +13,22 @@ import (
 // TestPortoAlegreSceneReproducesTable1 is the pipeline's golden test: the
 // crafted geometric scene must extract to exactly the paper's Table 1.
 func TestPortoAlegreSceneReproducesTable1(t *testing.T) {
-	for _, idx := range []IndexKind{RTreeIndex, GridIndex, NoIndex} {
-		opts := DefaultOptions()
-		opts.Index = idx
-		got, err := Extract(dataset.PortoAlegreScene(), opts)
-		if err != nil {
-			t.Fatalf("index %d: %v", idx, err)
+	got, err := Extract(dataset.PortoAlegreScene(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dataset.PortoAlegreTable()
+	if got.Len() != want.Len() {
+		t.Fatalf("rows = %d, want %d", got.Len(), want.Len())
+	}
+	for i := range want.Transactions {
+		w, g := want.Transactions[i], got.Transactions[i]
+		if w.RefID != g.RefID {
+			t.Errorf("row %d: id %q, want %q", i, g.RefID, w.RefID)
+			continue
 		}
-		want := dataset.PortoAlegreTable()
-		if got.Len() != want.Len() {
-			t.Fatalf("index %d: rows = %d, want %d", idx, got.Len(), want.Len())
-		}
-		for i := range want.Transactions {
-			w, g := want.Transactions[i], got.Transactions[i]
-			if w.RefID != g.RefID {
-				t.Errorf("index %d row %d: id %q, want %q", idx, i, g.RefID, w.RefID)
-				continue
-			}
-			if !reflect.DeepEqual(w.Items, g.Items) {
-				t.Errorf("index %d %s:\n  got  %v\n  want %v", idx, w.RefID, g.Items, w.Items)
-			}
+		if !reflect.DeepEqual(w.Items, g.Items) {
+			t.Errorf("%s:\n  got  %v\n  want %v", w.RefID, g.Items, w.Items)
 		}
 	}
 }
@@ -103,7 +99,6 @@ func TestExtractDistance(t *testing.T) {
 		Distance:       true,
 		Thresholds:     qsr.DistanceThresholds{VeryCloseMax: 1, CloseMax: 12},
 		IncludeFarFrom: true,
-		Index:          RTreeIndex,
 	}
 	table, err := Extract(smallDataset(), opts)
 	if err != nil {
@@ -131,7 +126,7 @@ func TestExtractDistance(t *testing.T) {
 }
 
 func TestExtractDirectional(t *testing.T) {
-	opts := Options{Directional: true, Index: RTreeIndex}
+	opts := Options{Directional: true}
 	table, err := Extract(smallDataset(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +183,6 @@ func TestExtractErrors(t *testing.T) {
 	}
 	if _, err := Extract(smallDataset(), Options{}); err == nil {
 		t.Error("no relation family should fail")
-	}
-	opts := DefaultOptions()
-	opts.Index = IndexKind(99)
-	if _, err := Extract(smallDataset(), opts); err == nil {
-		t.Error("unknown index kind should fail")
 	}
 }
 

@@ -1,8 +1,9 @@
-// Incremental extraction: a State keeps everything ExtractContext
-// computes — fitted discretizers, per-layer prepared geometries and
-// spatial indexes, and each reference row's item parts — so that a
-// mutated successor dataset re-extracts only its dirty region instead
-// of the whole scene.
+// Incremental extraction: a State is the extraction engine. It keeps
+// everything a full extraction computes — fitted discretizers, per-layer
+// prepared geometries and R-trees, and each reference row's item parts —
+// so that a mutated successor dataset re-extracts only its dirty region
+// instead of the whole scene. ExtractContext is a State built and read
+// out once.
 //
 // The dirty-region math inverts gatherCandidates: a changed relevant
 // feature can only affect a reference row if the row's candidate gather
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,18 +48,19 @@ type State struct {
 	// feature j; nil when prepared geometries are disabled or no
 	// relation family is on.
 	prep [][]*geom.Prepared
-	// indexes[li] is the candidate-filter index over layer li.
-	indexes []index.SpatialIndex
+	// indexes[li] is the candidate-filter R-tree over layer li.
+	indexes []*index.RTree
 	// refIndex answers the reverse dirty-row query: which reference
-	// rows can a changed envelope affect.
-	refIndex index.SpatialIndex
+	// rows can a changed envelope affect. Built by the first Apply that
+	// needs it, and dropped when the reference layer changes.
+	refIndex *index.RTree
 	// prepRef[j] is row j's prepared reference geometry (nil entries
-	// when unprepared).
+	// when unprepared; nil in ExtractContext's throwaway state).
 	prepRef []*geom.Prepared
 
 	// attr[j] holds row j's non-spatial items (is_a + attributes);
 	// spatial[j][li] holds row j's spatial items against layer li. The
-	// transaction is their concatenation, normalised by dataset.NewTable.
+	// transaction is their concatenation, sorted and deduplicated.
 	attr    [][]string
 	spatial [][][]string
 }
@@ -102,10 +105,19 @@ func NewState(d *dataset.Dataset, opts Options) (*State, error) {
 }
 
 // NewStateContext performs a full extraction of d under opts, keeping
-// every intermediate the delta path reuses. The table it produces is
-// identical to ExtractContext's (the incremental equivalence tests pin
-// this), and it reports the same extract.* counters.
+// every intermediate the delta path reuses. It shares its one full
+// extraction path with ExtractContext, so both report the same
+// extract.prepare stage and extract.* counters.
 func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*State, error) {
+	return newStateContext(ctx, d, opts, true)
+}
+
+// newStateContext is the full extraction behind NewStateContext and
+// ExtractContext. keepRefPrep retains each row's prepared reference
+// geometry for Apply to reuse; ExtractContext, which never applies,
+// passes false so each one is garbage once its row is done (on a
+// 1600-row scene they are about 1.6 MB of live heap).
+func newStateContext(ctx context.Context, d *dataset.Dataset, opts Options, keepRefPrep bool) (*State, error) {
 	if d.Reference == nil {
 		return nil, fmt.Errorf("transact: dataset has no reference layer")
 	}
@@ -149,21 +161,18 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 		sp.End()
 	}
 	if s.anyFamily {
-		s.indexes = make([]index.SpatialIndex, len(d.Relevant))
+		s.indexes = make([]*index.RTree, len(d.Relevant))
 		for i, layer := range d.Relevant {
-			idx, err := buildLayerIndex(opts.Index, layer, s.layerPrep(i))
-			if err != nil {
-				return nil, err
-			}
-			s.indexes[i] = idx
+			s.indexes[i] = buildLayerIndex(layer, s.layerPrep(i))
 		}
-		s.refIndex = buildRefIndex(d.Reference)
 	}
 
 	n := d.Reference.Len()
 	s.attr = make([][]string, n)
 	s.spatial = make([][][]string, n)
-	s.prepRef = make([]*geom.Prepared, n)
+	if keepRefPrep {
+		s.prepRef = make([]*geom.Prepared, n)
+	}
 
 	var candidatesExamined, itemsEmitted atomic.Int64
 	var relatesRefined, refinesSkipped atomic.Int64
@@ -179,7 +188,9 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 		attr, spatial, pref, nCand := s.extractRowParts(d, s.cuts, j, &bufs[w], &st)
 		s.attr[j] = attr
 		s.spatial[j] = spatial
-		s.prepRef[j] = pref
+		if keepRefPrep {
+			s.prepRef[j] = pref
+		}
 		candidatesExamined.Add(nCand)
 		items := int64(len(attr))
 		for _, part := range spatial {
@@ -215,20 +226,32 @@ func (s *State) Dataset() *dataset.Dataset { return s.d }
 func (s *State) Options() Options { return s.opts }
 
 // Table assembles the current transaction table. Each row concatenates
-// its non-spatial part with the per-layer spatial parts; NewTable's
-// normalisation (sort + dedupe) makes the result independent of part
-// boundaries, hence identical to a from-scratch ExtractContext.
+// its non-spatial part with the per-layer spatial parts and is then
+// sorted and deduplicated, so the result is independent of part
+// boundaries: a patched state's table equals a fresh extraction's.
 func (s *State) Table() *dataset.Table {
 	rows := make([]dataset.Transaction, len(s.attr))
 	for j := range rows {
-		items := make([]string, 0, len(s.attr[j])+8)
-		items = append(items, s.attr[j]...)
-		for _, part := range s.spatial[j] {
-			items = append(items, part...)
-		}
-		rows[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: items}
+		rows[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: rowItems(s.attr[j], s.spatial[j])}
 	}
-	return dataset.NewTable(rows)
+	return &dataset.Table{Transactions: rows}
+}
+
+// rowItems concatenates one row's non-spatial and spatial parts into a
+// fresh slice, sorted and deduplicated in place — the normalised
+// transaction dataset.NormalizeItems would produce, without its copy.
+func rowItems(attr []string, spatial [][]string) []string {
+	n := len(attr)
+	for _, part := range spatial {
+		n += len(part)
+	}
+	items := make([]string, 0, n)
+	items = append(items, attr...)
+	for _, part := range spatial {
+		items = append(items, part...)
+	}
+	slices.Sort(items)
+	return slices.Compact(items)
 }
 
 // Apply advances the state to the mutated successor dataset nd, whose
@@ -331,11 +354,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 			s.prep[li] = newPrep
 		}
 		if s.anyFamily {
-			idx, err := buildLayerIndex(s.opts.Index, newLayer, s.layerPrep(li))
-			if err != nil {
-				return nil, err
-			}
-			s.indexes[li] = idx
+			s.indexes[li] = buildLayerIndex(newLayer, s.layerPrep(li))
 
 			dirty := make([]bool, n)
 			if allDirty {
@@ -443,7 +462,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 			newSpatial[j][li] = appendSpatialItems(nil, ref, pref, nd.Relevant[li], s.prep, li, refEnv, bufs[w], s.opts, &st)
 		}
 		if attrsChanged {
-			newAttr[j] = s.computeAttrPart(nd, newCuts, j)
+			newAttr[j] = s.appendAttrPart(nil, nd, newCuts, j)
 		}
 	})
 	if err != nil {
@@ -453,7 +472,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		newAttr[j] = s.computeAttrPart(nd, newCuts, j)
+		newAttr[j] = s.appendAttrPart(nil, nd, newCuts, j)
 	}
 
 	// Diff the tables row by row (normalised) to produce the exact
@@ -467,20 +486,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		PreparedReused: int(preparedReused + prefReused.Load()),
 		PreparedBuilt:  int(preparedBuilt + refPreparedBuilds.Load()),
 	}
-	oldRowItems := func(old int) []string {
-		items := append([]string{}, oldAttr[old]...)
-		for _, part := range oldSpatial[old] {
-			items = append(items, part...)
-		}
-		return dataset.NormalizeItems(items)
-	}
-	newRowItems := func(j int) []string {
-		items := append([]string{}, newAttr[j]...)
-		for _, part := range newSpatial[j] {
-			items = append(items, part...)
-		}
-		return dataset.NormalizeItems(items)
-	}
+	oldRowItems := func(old int) []string { return rowItems(oldAttr[old], oldSpatial[old]) }
 	recomputed := make(map[int]bool, len(jobs)+len(attrJobs))
 	for _, j := range jobs {
 		recomputed[j] = true
@@ -492,7 +498,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		if !recomputed[j] {
 			continue
 		}
-		newItems := newRowItems(j)
+		newItems := rowItems(newAttr[j], newSpatial[j])
 		if newFromOld[j] < 0 {
 			delta.Changed = append(delta.Changed, RowChange{Row: j, New: newItems})
 			continue
@@ -514,8 +520,8 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	s.attr = newAttr
 	s.spatial = newSpatial
 	s.prepRef = newPrepRef
-	if s.anyFamily && !refDiff.Empty() {
-		s.refIndex = buildRefIndex(nd.Reference)
+	if !refDiff.Empty() {
+		s.refIndex = nil
 	}
 
 	tr.Add("delta.rows.total", int64(delta.RowsTotal))
@@ -534,10 +540,16 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 // the prepared reference geometry (nil when unprepared), and the
 // candidate count. The cuts are a parameter, not s.cuts: Apply renders
 // full rows under the successor's refit before committing it.
+//
+// All parts share one backing slice; each is capacity-clipped
+// (items[start:end:end]) so Apply can replace one part without touching
+// its neighbours.
 func (s *State) extractRowParts(d *dataset.Dataset, cuts map[string]*FittedDiscretizer, j int, buf *[]int, st *refineStats) ([]string, [][]string, *geom.Prepared, int64) {
-	attr := s.computeAttrPart(d, cuts, j)
+	items := s.appendAttrPart(make([]string, 0, 8), d, cuts, j)
+	nAttr := len(items)
+	spatial := make([][]string, len(d.Relevant))
 	if !s.anyFamily {
-		return attr, make([][]string, len(d.Relevant)), nil, 0
+		return items[:nAttr:nAttr], spatial, nil, 0
 	}
 	ref := &d.Reference.Features[j]
 	var pref *geom.Prepared
@@ -546,32 +558,44 @@ func (s *State) extractRowParts(d *dataset.Dataset, cuts map[string]*FittedDiscr
 		pref = geom.Prepare(ref.Geometry)
 		refEnv = pref.Envelope()
 	}
-	spatial := make([][]string, len(d.Relevant))
 	var nCand int64
 	for li := range d.Relevant {
 		*buf = gatherCandidates(s.indexes[li], refEnv, s.opts, (*buf)[:0])
 		nCand += int64(len(*buf))
-		spatial[li] = appendSpatialItems(nil, ref, pref, d.Relevant[li], s.prep, li, refEnv, *buf, s.opts, st)
+		start := len(items)
+		items = appendSpatialItems(items, ref, pref, d.Relevant[li], s.prep, li, refEnv, *buf, s.opts, st)
+		spatial[li] = items[start:] // length only; re-sliced below
 	}
-	return attr, spatial, pref, nCand
+	// Appends may have moved the backing array: re-slice every part from
+	// the final one.
+	end := nAttr
+	for li, part := range spatial {
+		start := end
+		end += len(part)
+		spatial[li] = items[start:end:end]
+	}
+	return items[:nAttr:nAttr], spatial, pref, nCand
 }
 
-// computeAttrPart renders row j's non-spatial items under the given
-// fitted cuts.
-func (s *State) computeAttrPart(d *dataset.Dataset, cuts map[string]*FittedDiscretizer, j int) []string {
-	ref := &d.Reference.Features[j]
-	items := make([]string, 0, 4)
+// appendAttrPart appends row j's non-spatial items (is_a + attributes)
+// under the given fitted cuts to items.
+func (s *State) appendAttrPart(items []string, d *dataset.Dataset, cuts map[string]*FittedDiscretizer, j int) []string {
 	if s.opts.IncludeIsA {
 		items = append(items, "is_a_"+d.Reference.Type)
 	}
-	return appendAttrItems(items, ref, d.NonSpatialAttrs, cuts)
+	return appendAttrItems(items, &d.Reference.Features[j], d.NonSpatialAttrs, cuts)
 }
 
 // dirtyRowQuery returns the predecessor reference rows whose candidate
 // gather can include a feature with envelope env — the reverse of
 // gatherCandidates, with the same per-family radius. Callers handle the
-// take-everything families before getting here.
+// take-everything families before getting here. The first query after
+// a build or a reference-layer change builds the reverse R-tree over the
+// current (predecessor) reference envelopes.
 func (s *State) dirtyRowQuery(env geom.Envelope, dst []int) []int {
+	if s.refIndex == nil {
+		s.refIndex = buildRefIndex(s.d.Reference)
+	}
 	if s.opts.Distance {
 		return s.refIndex.SearchDistance(env, s.opts.Thresholds.CloseMax+geom.Eps, dst)
 	}
@@ -586,9 +610,9 @@ func (s *State) layerPrep(li int) []*geom.Prepared {
 	return s.prep[li]
 }
 
-// buildLayerIndex builds the candidate-filter index for one layer,
+// buildLayerIndex builds the candidate-filter R-tree for one layer,
 // reusing prepared envelopes when available.
-func buildLayerIndex(kind IndexKind, layer *dataset.Layer, prep []*geom.Prepared) (index.SpatialIndex, error) {
+func buildLayerIndex(layer *dataset.Layer, prep []*geom.Prepared) *index.RTree {
 	items := make([]index.Item, layer.Len())
 	for j := range layer.Features {
 		if prep != nil {
@@ -597,21 +621,13 @@ func buildLayerIndex(kind IndexKind, layer *dataset.Layer, prep []*geom.Prepared
 			items[j] = index.Item{Env: layer.Features[j].Geometry.Envelope(), ID: j}
 		}
 	}
-	switch kind {
-	case RTreeIndex:
-		return index.NewRTreeBulk(items), nil
-	case GridIndex:
-		return index.NewGridBulk(items), nil
-	case NoIndex:
-		return index.NewLinear(items), nil
-	}
-	return nil, fmt.Errorf("transact: unknown index kind %d", kind)
+	return index.NewRTreeBulk(items)
 }
 
 // buildRefIndex builds the reverse-query R-tree over the reference
-// envelopes. Always an R-tree regardless of Options.Index: it only
-// accelerates dirty-row discovery and never affects extraction output.
-func buildRefIndex(ref *dataset.Layer) index.SpatialIndex {
+// envelopes. It only accelerates dirty-row discovery and never affects
+// extraction output.
+func buildRefIndex(ref *dataset.Layer) *index.RTree {
 	items := make([]index.Item, ref.Len())
 	for j := range ref.Features {
 		items[j] = index.Item{Env: ref.Features[j].Geometry.Envelope(), ID: j}

@@ -12,17 +12,17 @@ import (
 	"repro/internal/qsr"
 )
 
-// stateOptionsUnderTest covers every relation family and index kind the
-// incremental state must stay equivalent under.
+// stateOptionsUnderTest covers every relation family the incremental
+// state must stay equivalent under.
 func stateOptionsUnderTest() map[string]Options {
 	return map[string]Options{
-		"topological":  {Topological: true, IncludeIsA: true, Index: RTreeIndex},
-		"withDisjoint": {Topological: true, IncludeDisjoint: true, Index: GridIndex},
-		"distance":     {Distance: true, Thresholds: qsr.DefaultThresholds(10), Index: RTreeIndex},
-		"farFrom":      {Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeFarFrom: true, Index: GridIndex},
-		"directional":  {Directional: true, Index: NoIndex},
-		"combined":     {Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeIsA: true, Index: RTreeIndex},
-		"unprepared":   {Topological: true, NoPrepare: true, Index: RTreeIndex},
+		"topological":  {Topological: true, IncludeIsA: true},
+		"withDisjoint": {Topological: true, IncludeDisjoint: true},
+		"distance":     {Distance: true, Thresholds: qsr.DefaultThresholds(10)},
+		"farFrom":      {Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeFarFrom: true},
+		"directional":  {Directional: true},
+		"combined":     {Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeIsA: true},
+		"unprepared":   {Topological: true, NoPrepare: true},
 	}
 }
 
@@ -262,7 +262,7 @@ func TestStateApplyAttributeShiftMatchesFromScratch(t *testing.T) {
 		Relevant:        []*dataset.Layer{schools},
 		NonSpatialAttrs: []string{"pop"},
 	}
-	opts := Options{Topological: true, Index: RTreeIndex}
+	opts := Options{Topological: true}
 	st, err := NewState(d, opts)
 	if err != nil {
 		t.Fatalf("NewState: %v", err)
@@ -288,7 +288,7 @@ func TestStateApplyAttributeShiftMatchesFromScratch(t *testing.T) {
 
 func TestStateApplySingleEditIsSparse(t *testing.T) {
 	d := sceneForState(t, 29)
-	opts := Options{Topological: true, IncludeIsA: true, Index: RTreeIndex}
+	opts := Options{Topological: true, IncludeIsA: true}
 	st, err := NewState(d, opts)
 	if err != nil {
 		t.Fatalf("NewState: %v", err)
@@ -327,7 +327,7 @@ func TestStateApplySingleEditIsSparse(t *testing.T) {
 func TestStateApplyParallelism(t *testing.T) {
 	d := sceneForState(t, 3)
 	for _, par := range []int{1, 4} {
-		opts := Options{Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(10), Index: RTreeIndex, Parallelism: par}
+		opts := Options{Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(10), Parallelism: par}
 		st, err := NewState(d, opts)
 		if err != nil {
 			t.Fatalf("NewState(par=%d): %v", par, err)

@@ -50,7 +50,6 @@ func TestParallelExtractionWithDistance(t *testing.T) {
 		Distance:    true,
 		Thresholds:  qsr.DistanceThresholds{VeryCloseMax: 1, CloseMax: 8},
 		Parallelism: 1,
-		Index:       GridIndex,
 	}
 	par := seq
 	par.Parallelism = 4

@@ -21,16 +21,15 @@ func TestExtractPreparedMatchesUnprepared(t *testing.T) {
 		t.Fatal(err)
 	}
 	families := map[string]Options{
-		"topological":  {Topological: true, Index: RTreeIndex},
-		"withDisjoint": {Topological: true, IncludeDisjoint: true, Index: GridIndex},
-		"distance":     {Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeFarFrom: true, Index: RTreeIndex},
-		"directional":  {Directional: true, Index: NoIndex},
+		"topological":  {Topological: true},
+		"withDisjoint": {Topological: true, IncludeDisjoint: true},
+		"distance":     {Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeFarFrom: true},
+		"directional":  {Directional: true},
 		"all": {
 			Topological: true,
 			Distance:    true, Thresholds: qsr.DefaultThresholds(10),
 			Directional: true,
 			IncludeIsA:  true,
-			Index:       RTreeIndex,
 		},
 	}
 	for name, base := range families {

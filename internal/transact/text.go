@@ -43,48 +43,3 @@ func (g *Granularity) UnmarshalText(text []byte) error {
 	*g = parsed
 	return nil
 }
-
-// String implements fmt.Stringer.
-func (k IndexKind) String() string {
-	switch k {
-	case RTreeIndex:
-		return "rtree"
-	case GridIndex:
-		return "grid"
-	case NoIndex:
-		return "none"
-	}
-	return fmt.Sprintf("transact.IndexKind(%d)", int(k))
-}
-
-// ParseIndexKind inverts IndexKind.String.
-func ParseIndexKind(s string) (IndexKind, error) {
-	switch s {
-	case "rtree", "":
-		return RTreeIndex, nil
-	case "grid":
-		return GridIndex, nil
-	case "none":
-		return NoIndex, nil
-	}
-	return 0, fmt.Errorf("transact: unknown index kind %q (want rtree, grid, or none)", s)
-}
-
-// MarshalText implements encoding.TextMarshaler.
-func (k IndexKind) MarshalText() ([]byte, error) {
-	switch k {
-	case RTreeIndex, GridIndex, NoIndex:
-		return []byte(k.String()), nil
-	}
-	return nil, fmt.Errorf("transact: cannot marshal unknown index kind %d", int(k))
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler via ParseIndexKind.
-func (k *IndexKind) UnmarshalText(text []byte) error {
-	parsed, err := ParseIndexKind(string(text))
-	if err != nil {
-		return err
-	}
-	*k = parsed
-	return nil
-}
