@@ -10,7 +10,7 @@
 //	                        (Figure 4 counts are reported as bench
 //	                        metrics; Figure 5 is the ns/op itself)
 //	BenchmarkFigure6And7* — dataset 2, two algorithms, minsup sweep
-//	BenchmarkCounting*    — tidset vs horizontal support counting
+//	BenchmarkCounting*    — vertical (tidset) support counting
 //	BenchmarkFilterPlacement* — apriori (k=2) vs aposteriori filtering
 //	BenchmarkJoin*        — R-tree vs grid vs nested-loop extraction
 //	BenchmarkSensitivity* — gain vs number of same-feature relations
@@ -164,30 +164,22 @@ func BenchmarkTable1Extraction(b *testing.B) {
 	}
 }
 
-// BenchmarkCounting compares the two support-counting strategies
-// (DESIGN.md ablation 1).
+// BenchmarkCounting measures Apriori with prebuilt tidsets, so the time
+// is support counting and candidate generation (DESIGN.md ablation 1).
 func BenchmarkCounting(b *testing.B) {
 	benchSetup(b)
-	for _, strat := range []struct {
-		name string
-		c    mining.CountingStrategy
-	}{
-		{"Vertical", mining.VerticalCounting},
-		{"Horizontal", mining.HorizontalCounting},
-	} {
-		b.Run(strat.name, func(b *testing.B) {
-			db := itemset.NewDB(benchData1)
-			db.BuildTidsets()
-			cfg := mining.Config{MinSupport: 0.10, Counting: strat.c}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mining.Apriori(db, cfg); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("Vertical", func(b *testing.B) {
+		db := itemset.NewDB(benchData1)
+		db.BuildTidsets()
+		cfg := mining.Config{MinSupport: 0.10}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := mining.Apriori(db, cfg); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkFilterPlacement compares the paper's apriori (k=2) filter
@@ -283,35 +275,20 @@ func BenchmarkScalingRows(b *testing.B) {
 	}
 }
 
-// BenchmarkFPGrowthVsApriori contrasts the engines on the dense
-// low-support end where tree projection and vertical diffsets pay off.
-func BenchmarkFPGrowthVsApriori(b *testing.B) {
-	benchSetup(b)
-	b.Run("Apriori", func(b *testing.B) {
-		mineBench(b, benchData1, mining.Config{MinSupport: 0.03}, mining.Apriori)
-	})
-	b.Run("FPGrowth", func(b *testing.B) {
-		mineBench(b, benchData1, mining.Config{MinSupport: 0.03}, mining.FPGrowth)
-	})
-	b.Run("Eclat", func(b *testing.B) {
-		mineBench(b, benchData1, mining.Config{MinSupport: 0.03}, mining.Eclat)
-	})
-}
-
-// BenchmarkEclatParallelScaling measures the sharded equivalence-class
-// walk across worker counts on a large generated dataset — the scaling
-// series appended to BENCH_mining.json. Each top-level subtree is
-// independent, so on multi-core hardware wall time drops with
+// BenchmarkMiningParallelScaling measures Apriori-KC+ across
+// support-counting worker counts on a large generated dataset — the
+// scaling series appended to BENCH_mining.json. Candidates are counted
+// independently, so on multi-core hardware wall time drops with
 // Parallelism; the frequent-sets metric pins output equivalence across
 // all settings.
-func BenchmarkEclatParallelScaling(b *testing.B) {
+func BenchmarkMiningParallelScaling(b *testing.B) {
 	table, err := datagen.PaperDataset1(datagen.DefaultSeed, 8000)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			mineBench(b, table, mining.Config{MinSupport: 0.03, Parallelism: par}, mining.Eclat)
+			mineBench(b, table, mining.Config{MinSupport: 0.03, Parallelism: par}, mining.AprioriKCPlus)
 		})
 	}
 }

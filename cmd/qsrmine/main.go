@@ -8,7 +8,7 @@
 //	qsrmine -data city.json -minsup 0.1 -alg apriori -rules -minconf 0.7
 //	qsrmine -table transactions.csv -minsup 0.05
 //	qsrmine -data city.json -deps "contains_street:contains_illuminationPoint,..."
-//	qsrmine -data city.json -alg eclat -parallelism 8   # shard the mining fan-out
+//	qsrmine -data city.json -parallelism 8  # shard support counting over 8 workers
 //	qsrmine -data city.json -mutate edits.json          # apply edits, re-extract incrementally
 //	qsrmine -data city.json -colocate -dist 2 -minpi 0.4   # co-location mining (participation index)
 //	qsrmine -sample -trace                  # per-stage wall time + per-pass counts
@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trace     = fs.Bool("trace", false, "stream per-stage wall time and per-pass counts to stderr")
 		jsonMet   = fs.Bool("json-metrics", false, "print stage/pass/counter metrics as JSON after the results")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-		parallel  = fs.Int("parallelism", 0, "mining worker fan-out for all engines (apriori counting pool, eclat walk, co-location candidate expansion): 1 = sequential, 0 = GOMAXPROCS")
+		parallel  = fs.Int("parallelism", 0, "mining worker fan-out (support-counting pool, co-location candidate expansion): 1 = sequential, 0 = GOMAXPROCS")
 		colocate  = fs.Bool("colocate", false, "mine spatial co-location patterns (prevalent feature-type sets under -dist, measured by the participation index) instead of transaction itemsets")
 		dist      = fs.Float64("dist", 1.0, "co-location neighborhood distance threshold (-colocate)")
 		minPI     = fs.Float64("minpi", 0.3, "minimum participation index in (0, 1] (-colocate)")
@@ -84,11 +84,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// TextUnmarshaler, so the flag package parses and prints them
 	// directly.
 	alg := qsrmine.AprioriKCPlus
-	fs.TextVar(&alg, "alg", alg, "algorithm: apriori, apriori-kc, apriori-kc+, fpgrowth-kc+, eclat-kc+")
+	fs.TextVar(&alg, "alg", alg, "algorithm: apriori, apriori-kc, apriori-kc+ (the retired fpgrowth-kc+/eclat-kc+ names mean apriori-kc+)")
 	postFilter := qsrmine.NoPostFilter
 	fs.TextVar(&postFilter, "postfilter", postFilter, "post filter: none, closed, maximal")
-	counting := qsrmine.VerticalCounting
-	fs.TextVar(&counting, "counting", counting, "support counting strategy: vertical or horizontal (apriori engines only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -122,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		GenerateRules: *rules,
 		MinConfidence: *minconf,
 		PostFilter:    postFilter,
-		Counting:      counting,
 		Parallelism:   *parallel,
 	}
 	switch {

@@ -40,93 +40,82 @@ func TestParseDeps(t *testing.T) {
 	}
 }
 
-func TestEclatAlgorithmSelectable(t *testing.T) {
-	// -alg eclat resolves through the TextUnmarshaler to the Eclat
-	// engine and mines the same pattern set as apriori-kc+.
-	var alg qsrmine.Algorithm
-	for _, spelling := range []string{"eclat", "eclat-kc+"} {
-		if err := alg.UnmarshalText([]byte(spelling)); err != nil {
-			t.Fatalf("UnmarshalText(%q): %v", spelling, err)
-		}
-		if alg != qsrmine.EclatKCPlus {
-			t.Fatalf("%q parsed to %v", spelling, alg)
-		}
-	}
-	ec, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm:  qsrmine.EclatKCPlus,
-		MinSupport: 0.5,
-	})
-	if err != nil {
+// TestRetiredEngineAlgFlag: -alg still accepts the retired engine
+// names, which now mine as (and report) apriori-kc+, with output equal
+// to an explicit -alg apriori-kc+ run.
+func TestRetiredEngineAlgFlag(t *testing.T) {
+	var want bytes.Buffer
+	if err := run([]string{"-sample", "-minsup", "0.5", "-alg", "apriori-kc+"}, &want, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	ap, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm:  qsrmine.AprioriKCPlus,
-		MinSupport: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ec.Result.Frequent) != len(ap.Result.Frequent) {
-		t.Errorf("eclat mined %d itemsets, apriori-kc+ %d",
-			len(ec.Result.Frequent), len(ap.Result.Frequent))
-	}
-}
-
-func TestCountingStrategyFlag(t *testing.T) {
-	// -counting parses via encoding.TextUnmarshaler, like -alg.
-	var c qsrmine.CountingStrategy
-	for spelling, want := range map[string]qsrmine.CountingStrategy{
-		"vertical":   qsrmine.VerticalCounting,
-		"horizontal": qsrmine.HorizontalCounting,
-	} {
-		if err := c.UnmarshalText([]byte(spelling)); err != nil {
-			t.Fatalf("UnmarshalText(%q): %v", spelling, err)
+	for _, name := range []string{"eclat", "eclat-kc+", "fpgrowth", "fpgrowth-kc+"} {
+		var stdout bytes.Buffer
+		if err := run([]string{"-sample", "-minsup", "0.5", "-alg", name}, &stdout, io.Discard); err != nil {
+			t.Fatalf("-alg %s: %v", name, err)
 		}
-		if c != want {
-			t.Errorf("%q parsed to %v", spelling, c)
+		if !strings.Contains(stdout.String(), "algorithm:            apriori-kc+\n") {
+			t.Errorf("-alg %s output does not report apriori-kc+:\n%s", name, stdout.String())
+		}
+		if got, w := stripMiningTime(stdout.String()), stripMiningTime(want.String()); got != w {
+			t.Errorf("-alg %s output differs from -alg apriori-kc+:\n%s\nwant:\n%s", name, got, w)
 		}
 	}
-	if err := c.UnmarshalText([]byte("diagonal")); err == nil {
-		t.Error("bogus counting strategy must fail to parse")
+}
+
+// stripMiningTime drops the text output's wall-clock line.
+func stripMiningTime(s string) string {
+	var keep []string
+	for _, line := range strings.Split(s, "\n") {
+		if !strings.Contains(line, "mining time") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestCountingFlagRetired: -counting is gone, so naming it is a usage
+// error (exit 2) rather than a silently ignored setting.
+func TestCountingFlagRetired(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-sample", "-counting", "vertical"}, &stdout, &stderr)
+	if !errors.Is(err, errUsage) {
+		t.Fatalf("-counting vertical = %v, want a usage error (exit 2)", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-counting mined before failing: %q", stdout.String())
 	}
 }
 
-func TestEclatRejectsHorizontalCountingConfig(t *testing.T) {
-	// An explicitly requested horizontal strategy cannot be honoured by
-	// the vertical eclat engine: the run must fail with a clear config
-	// error instead of silently dropping the setting.
-	_, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm:  qsrmine.EclatKCPlus,
-		MinSupport: 0.5,
-		Counting:   qsrmine.HorizontalCounting,
-	})
-	if err == nil {
-		t.Fatal("eclat with horizontal counting must fail")
-	}
-	if !strings.Contains(err.Error(), "horizontal") {
-		t.Errorf("error %q does not name the strategy", err)
-	}
-	// The apriori engines still honour it.
-	out, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm:  qsrmine.AprioriKCPlus,
-		MinSupport: 0.5,
-		Counting:   qsrmine.HorizontalCounting,
-	})
-	if err != nil {
-		t.Fatalf("apriori with horizontal counting: %v", err)
-	}
-	if len(out.Result.Frequent) == 0 {
-		t.Error("horizontal apriori mined nothing")
+// TestRunRejectsBadMinSupport: a minimum support outside (0, 1] — NaN
+// included — is a validation error (exit 1) naming the field, raised
+// before extraction starts (no extract stage in the trace).
+func TestRunRejectsBadMinSupport(t *testing.T) {
+	for _, minsup := range []string{"NaN", "0", "1.5", "-0.1", "+Inf"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-sample", "-trace", "-minsup", minsup}, &stdout, &stderr)
+		if err == nil || errors.Is(err, errUsage) {
+			t.Errorf("-minsup %s = %v, want a validation error (exit 1)", minsup, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "minSupport") {
+			t.Errorf("-minsup %s error %q does not name minSupport", minsup, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-minsup %s mined before failing: %q", minsup, stdout.String())
+		}
+		if strings.Contains(stderr.String(), "stage extract") {
+			t.Errorf("-minsup %s extracted before failing:\n%s", minsup, stderr.String())
+		}
 	}
 }
 
-func TestParallelismPlumbsToEclat(t *testing.T) {
-	// -parallelism reaches the eclat walk through core.Config and the
+func TestParallelismPlumbsToCounting(t *testing.T) {
+	// -parallelism reaches the counting pool through core.Config and the
 	// results match the sequential run exactly.
 	run := func(par int) *qsrmine.Outcome {
 		t.Helper()
 		out, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
-			Algorithm:   qsrmine.EclatKCPlus,
+			Algorithm:   qsrmine.AprioriKCPlus,
 			MinSupport:  0.34,
 			Parallelism: par,
 		})

@@ -17,7 +17,7 @@
 //
 //	qsrmined -dump-sample scene.json
 //	curl -s -X POST --data-binary @scene.json localhost:8080/v1/datasets/scene
-//	curl -s -X POST -d '{"dataset":"<digest>","config":{"algorithm":"eclat-kc+","minSupport":0.3}}' localhost:8080/v1/mine
+//	curl -s -X POST -d '{"dataset":"<digest>","config":{"algorithm":"apriori-kc+","minSupport":0.3}}' localhost:8080/v1/mine
 //	curl -s -X POST -d '{"dataset":"<digest>","config":{"distance":3,"minPI":0.3}}' localhost:8080/v1/colocate
 //
 // /v1/colocate mines spatial co-location patterns (prevalent

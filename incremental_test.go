@@ -44,7 +44,7 @@ func runIncrementalProperty(t *testing.T, parallelism int, seed int64) {
 				t.Fatal(err)
 			}
 			cfg := qsrmine.Config{
-				Algorithm:   qsrmine.EclatKCPlus,
+				Algorithm:   qsrmine.AprioriKCPlus,
 				MinSupport:  0.25,
 				Extraction:  opts,
 				Parallelism: parallelism,

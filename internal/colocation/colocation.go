@@ -450,9 +450,8 @@ type candidateSet struct {
 	pi    float64
 }
 
-// colocWorkers resolves the Parallelism knob exactly like the Eclat
-// pool: 0 means GOMAXPROCS, never more workers than work items, at
-// least one.
+// colocWorkers resolves the Parallelism knob: 0 or negative means
+// GOMAXPROCS, never more workers than work items, at least one.
 func colocWorkers(parallelism, items int) int {
 	w := parallelism
 	if w <= 0 {

@@ -13,26 +13,33 @@ import (
 // This file defines the JSON form of Config — the request-body contract
 // of the qsrmined HTTP service and a stable on-disk format for saved run
 // configurations. Every field round-trips; the enum fields (algorithm,
-// post filter, counting strategy, granularity) are spelled with their
-// canonical names via the types' TextMarshalers, and unknown names or
-// unknown JSON keys are rejected with a descriptive error rather than
-// silently ignored. The one exception is the retired extraction "index"
-// member, which still decodes (see legacyIndexKinds) but never encodes.
+// post filter, granularity) are spelled with their canonical names via
+// the types' TextMarshalers, and unknown names or unknown JSON keys are
+// rejected with a descriptive error rather than silently ignored. The
+// exceptions are two retired members, the top-level "counting" and the
+// extraction "index", which still decode (see legacyCountings and
+// legacyIndexKinds) but never encode.
 
 // jsonConfig is the wire form of Config. Pointer/omitempty fields keep
 // the canonical encoding minimal, which matters because the server's
 // result cache keys on the marshaled bytes.
 type jsonConfig struct {
-	Algorithm     Algorithm               `json:"algorithm"`
-	MinSupport    float64                 `json:"minSupport"`
-	Dependencies  []jsonPair              `json:"dependencies,omitempty"`
-	Counting      mining.CountingStrategy `json:"counting,omitempty"`
-	Parallelism   int                     `json:"parallelism,omitempty"`
-	MinConfidence float64                 `json:"minConfidence,omitempty"`
-	GenerateRules bool                    `json:"generateRules,omitempty"`
-	PostFilter    PostFilter              `json:"postFilter,omitempty"`
-	Extraction    *jsonExtraction         `json:"extraction,omitempty"`
+	Algorithm     Algorithm       `json:"algorithm"`
+	MinSupport    float64         `json:"minSupport"`
+	Dependencies  []jsonPair      `json:"dependencies,omitempty"`
+	Counting      *string         `json:"counting,omitempty"`
+	Parallelism   int             `json:"parallelism,omitempty"`
+	MinConfidence float64         `json:"minConfidence,omitempty"`
+	GenerateRules bool            `json:"generateRules,omitempty"`
+	PostFilter    PostFilter      `json:"postFilter,omitempty"`
+	Extraction    *jsonExtraction `json:"extraction,omitempty"`
 }
+
+// legacyCountings are the support-counting strategies the retired
+// "counting" member used to select. Both counted the same supports, so a
+// config (or a journaled request) naming one decodes to the same Config
+// as one without the member; any other value is an error.
+var legacyCountings = map[string]bool{"vertical": true, "horizontal": true, "": true}
 
 // jsonPair spells one Φ dependency pair.
 type jsonPair struct {
@@ -84,7 +91,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 	jc := jsonConfig{
 		Algorithm:     c.Algorithm,
 		MinSupport:    c.MinSupport,
-		Counting:      c.Counting,
 		Parallelism:   c.Parallelism,
 		MinConfidence: c.MinConfidence,
 		GenerateRules: c.GenerateRules,
@@ -114,10 +120,12 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&jc); err != nil {
 		return fmt.Errorf("core: decoding config: %w", err)
 	}
+	if jc.Counting != nil && !legacyCountings[*jc.Counting] {
+		return fmt.Errorf("core: decoding config: unknown counting strategy %q (the counting member is retired; only vertical, horizontal, or empty are still accepted)", *jc.Counting)
+	}
 	out := Config{
 		Algorithm:     jc.Algorithm,
 		MinSupport:    jc.MinSupport,
-		Counting:      jc.Counting,
 		Parallelism:   jc.Parallelism,
 		MinConfidence: jc.MinConfidence,
 		GenerateRules: jc.GenerateRules,

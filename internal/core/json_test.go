@@ -21,7 +21,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}{
 		{"zero", Config{}},
 		{"typical", Config{
-			Algorithm:  AlgEclatKCPlus,
+			Algorithm:  AlgAprioriKCPlus,
 			MinSupport: 0.25,
 		}},
 		{"everything", Config{
@@ -40,7 +40,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			Algorithm:     AlgAprioriKC,
 			MinSupport:    0.07,
 			Dependencies:  []mining.Pair{{A: "contains_street", B: "contains_illuminationPoint"}, {A: "x", B: "y"}},
-			Counting:      mining.HorizontalCounting,
 			Parallelism:   8,
 			MinConfidence: 0.9,
 			GenerateRules: true,
@@ -92,9 +91,8 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 // TestConfigJSONEnumNames pins the canonical enum spellings on the wire.
 func TestConfigJSONEnumNames(t *testing.T) {
 	data, err := json.Marshal(Config{
-		Algorithm:  AlgEclatKCPlus,
+		Algorithm:  AlgAprioriKCPlus,
 		MinSupport: 0.5,
-		Counting:   mining.HorizontalCounting,
 		PostFilter: ClosedFilter,
 		Extraction: transact.Options{Topological: true, Granularity: transact.InstanceLevel},
 	})
@@ -102,8 +100,7 @@ func TestConfigJSONEnumNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"algorithm":"eclat-kc+"`,
-		`"counting":"horizontal"`,
+		`"algorithm":"apriori-kc+"`,
 		`"postFilter":"closed"`,
 		`"granularity":"instance"`,
 	} {
@@ -111,8 +108,10 @@ func TestConfigJSONEnumNames(t *testing.T) {
 			t.Errorf("marshaled config %s missing %s", data, want)
 		}
 	}
-	if strings.Contains(string(data), `"index"`) {
-		t.Errorf("marshaled config %s names the retired index member", data)
+	for _, retired := range []string{`"index"`, `"counting"`} {
+		if strings.Contains(string(data), retired) {
+			t.Errorf("marshaled config %s names the retired %s member", data, retired)
+		}
 	}
 
 	// The retired extraction "index" member still decodes for old
@@ -145,6 +144,38 @@ func TestConfigJSONEnumNames(t *testing.T) {
 			t.Errorf("index %q re-marshals to %s, want %s", kind, gotBytes, wantBytes)
 		}
 	}
+
+	// The retired engine names decode as apriori-kc+, and the retired
+	// "counting" member decodes as a no-op: every combination yields
+	// the Config of the canonical apriori-kc+ document without the
+	// member, and re-marshals to its bytes (one result-cache entry).
+	const canonical = `{"algorithm":"apriori-kc+","minSupport":0.5}`
+	var kcplus Config
+	if err := json.Unmarshal([]byte(canonical), &kcplus); err != nil {
+		t.Fatal(err)
+	}
+	if kcplus.Algorithm != AlgAprioriKCPlus {
+		t.Fatalf("canonical document decoded to %v", kcplus.Algorithm)
+	}
+	for _, alg := range []string{"apriori-kc+", "fpgrowth-kc+", "fpgrowth", "eclat-kc+", "eclat"} {
+		for _, counting := range []string{"", `,"counting":"vertical"`, `,"counting":"horizontal"`, `,"counting":""`} {
+			body := `{"algorithm":"` + alg + `","minSupport":0.5` + counting + `}`
+			var got Config
+			if err := json.Unmarshal([]byte(body), &got); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			if !reflect.DeepEqual(got, kcplus) {
+				t.Errorf("%s decoded to %+v, want %+v", body, got, kcplus)
+			}
+			gotBytes, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotBytes) != canonical {
+				t.Errorf("%s re-marshals to %s, want %s", body, gotBytes, canonical)
+			}
+		}
+	}
 }
 
 // TestConfigJSONRejectsBadInput pins the error behaviour for malformed
@@ -157,6 +188,8 @@ func TestConfigJSONRejectsBadInput(t *testing.T) {
 		{"unknown algorithm", `{"algorithm":"apriori-kd+","minSupport":0.5}`, "unknown algorithm"},
 		{"unknown post filter", `{"algorithm":"apriori","postFilter":"open"}`, "unknown post filter"},
 		{"unknown counting", `{"algorithm":"apriori","counting":"diagonal"}`, "unknown counting strategy"},
+		{"numeric counting", `{"algorithm":"apriori","counting":3}`, "decoding config"},
+		{"unknown engine", `{"algorithm":"fpmax","minSupport":0.5}`, "unknown algorithm"},
 		{"unknown granularity", `{"algorithm":"apriori","extraction":{"granularity":"galaxy"}}`, "unknown granularity"},
 		{"unknown index", `{"algorithm":"apriori","extraction":{"index":"btree"}}`, "unknown index kind"},
 		{"unknown legacy index", `{"algorithm":"apriori","extraction":{"index":"kd"}}`, "unknown index kind"},
@@ -181,7 +214,7 @@ func TestConfigJSONRejectsBadInput(t *testing.T) {
 }
 
 // TestConfigJSONDefaults: an omitted field decodes to the documented
-// default (apriori algorithm, vertical counting, no post filter, zero
+// default (apriori algorithm, no post filter, zero
 // extraction — which RunContext replaces with DefaultOptions).
 func TestConfigJSONDefaults(t *testing.T) {
 	var cfg Config

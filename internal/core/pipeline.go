@@ -23,8 +23,7 @@ import (
 // Algorithm selects the mining variant.
 type Algorithm int
 
-// The three algorithms the paper evaluates, plus an FP-growth engine
-// mining the same KC+ pattern set.
+// The three algorithms the paper evaluates.
 const (
 	// AlgApriori is the classic baseline: no filtering.
 	AlgApriori Algorithm = iota
@@ -34,13 +33,6 @@ const (
 	// AlgAprioriKCPlus additionally removes every candidate pair whose
 	// predicates share a feature type — the paper's contribution.
 	AlgAprioriKCPlus
-	// AlgFPGrowthKCPlus mines the Apriori-KC+ pattern set with the
-	// FP-growth engine (independent implementation, faster on dense
-	// low-support workloads).
-	AlgFPGrowthKCPlus
-	// AlgEclatKCPlus mines the Apriori-KC+ pattern set with the vertical
-	// Eclat engine (tidset intersection with dEclat diffset switching).
-	AlgEclatKCPlus
 )
 
 // String implements fmt.Stringer.
@@ -52,29 +44,25 @@ func (a Algorithm) String() string {
 		return "apriori-kc"
 	case AlgAprioriKCPlus:
 		return "apriori-kc+"
-	case AlgFPGrowthKCPlus:
-		return "fpgrowth-kc+"
-	case AlgEclatKCPlus:
-		return "eclat-kc+"
 	}
 	return fmt.Sprintf("core.Algorithm(%d)", int(a))
 }
 
-// ParseAlgorithm inverts Algorithm.String.
+// ParseAlgorithm inverts Algorithm.String. The names of the retired
+// FP-growth and Eclat engines ("fpgrowth-kc+", "fpgrowth", "eclat-kc+",
+// "eclat") still parse, as AlgAprioriKCPlus: both mined the Apriori-KC+
+// pattern set, so old clients, journaled jobs and scripts keep working.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
 	case "apriori":
 		return AlgApriori, nil
 	case "apriori-kc", "kc":
 		return AlgAprioriKC, nil
-	case "apriori-kc+", "kc+", "kcplus":
+	case "apriori-kc+", "kc+", "kcplus",
+		"fpgrowth-kc+", "fpgrowth", "eclat-kc+", "eclat":
 		return AlgAprioriKCPlus, nil
-	case "fpgrowth-kc+", "fpgrowth":
-		return AlgFPGrowthKCPlus, nil
-	case "eclat-kc+", "eclat":
-		return AlgEclatKCPlus, nil
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (want apriori, apriori-kc, apriori-kc+, fpgrowth-kc+, or eclat-kc+)", s)
+	return 0, fmt.Errorf("core: unknown algorithm %q (want apriori, apriori-kc, or apriori-kc+)", s)
 }
 
 // Config parameterises a full pipeline run.
@@ -88,13 +76,9 @@ type Config struct {
 	MinSupport float64
 	// Dependencies is the background knowledge Φ (used by KC and KC+).
 	Dependencies []mining.Pair
-	// Counting selects the support-counting strategy of the Apriori
-	// engines (the Eclat engine is vertical by construction and rejects
-	// an explicit HorizontalCounting; FP-growth ignores it).
-	Counting mining.CountingStrategy
-	// Parallelism bounds the mining fan-out (vertical counting workers,
-	// Eclat walk workers): 1 or negative is sequential, 0 uses
-	// GOMAXPROCS. Results are identical at any setting.
+	// Parallelism bounds the vertical support-counting worker pool: 1 or
+	// negative is sequential, 0 uses GOMAXPROCS. Results are identical
+	// at any setting.
 	Parallelism int
 	// MinConfidence is the minimum rule confidence in [0, 1], used when
 	// GenerateRules is set; values outside that range (or NaN) are
@@ -170,26 +154,29 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Outcome, 
 // EffectiveMiningConfig resolves the mining.Config that cfg's algorithm
 // actually mines with. The named algorithm wrappers override the filter
 // flags — plain Apriori ignores both Φ and same-feature filtering,
-// Apriori-KC applies only Φ, and every KC+ engine forces same-feature
+// Apriori-KC applies only Φ, and Apriori-KC+ forces same-feature
 // filtering on — so any code that re-derives or patches a result (the
 // delta mining path in particular) must use these effective semantics,
 // not the raw request config. It fails on a config no pipeline stage
-// can run: an unknown algorithm or a MinConfidence outside [0, 1].
+// can run: an unknown algorithm, a MinSupport outside (0, 1] or a
+// MinConfidence outside [0, 1] (NaN fails both range checks).
 func EffectiveMiningConfig(cfg Config) (mining.Config, error) {
+	if s := cfg.MinSupport; !(s > 0 && s <= 1) {
+		return mining.Config{}, fmt.Errorf("core: minSupport must be in (0, 1] (got %v)", s)
+	}
 	if c := cfg.MinConfidence; !(c >= 0 && c <= 1) {
 		return mining.Config{}, fmt.Errorf("core: minConfidence must be in [0, 1] (got %v)", c)
 	}
 	mcfg := mining.Config{
 		MinSupport:   cfg.MinSupport,
 		Dependencies: cfg.Dependencies,
-		Counting:     cfg.Counting,
 		Parallelism:  cfg.Parallelism,
 	}
 	switch cfg.Algorithm {
 	case AlgApriori:
 		mcfg.Dependencies = nil
 	case AlgAprioriKC:
-	case AlgAprioriKCPlus, AlgFPGrowthKCPlus, AlgEclatKCPlus:
+	case AlgAprioriKCPlus:
 		mcfg.FilterSameFeature = true
 	default:
 		return mining.Config{}, fmt.Errorf("core: unknown algorithm %d", cfg.Algorithm)
@@ -219,16 +206,8 @@ func RunTableContext(ctx context.Context, table *dataset.Table, cfg Config) (*Ou
 	if err != nil {
 		return nil, err
 	}
-	var res *mining.Result
 	sp = tr.Stage("mine")
-	switch cfg.Algorithm {
-	case AlgApriori, AlgAprioriKC, AlgAprioriKCPlus:
-		res, err = mining.MineContext(ctx, db, mcfg)
-	case AlgFPGrowthKCPlus:
-		res, err = mining.FPGrowthContext(ctx, db, mcfg)
-	case AlgEclatKCPlus:
-		res, err = mining.EclatContext(ctx, db, mcfg)
-	}
+	res, err := mining.MineContext(ctx, db, mcfg)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: mining: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,30 +171,25 @@ func TestAlgorithmStringParse(t *testing.T) {
 	}
 }
 
-func TestFPGrowthAlgorithmMatchesKCPlus(t *testing.T) {
+// TestRetiredEngineNamesMineKCPlus: the names of the retired FP-growth
+// and Eclat engines parse as apriori-kc+ and mine exactly its result.
+func TestRetiredEngineNamesMineKCPlus(t *testing.T) {
 	table := dataset.Table2Reconstruction()
-	ap, err := RunTable(table, Config{Algorithm: AlgAprioriKCPlus, MinSupport: 0.5})
+	want, err := RunTable(table, Config{Algorithm: AlgAprioriKCPlus, MinSupport: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := RunTable(table, Config{Algorithm: AlgFPGrowthKCPlus, MinSupport: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ap.Result.Frequent) != len(fp.Result.Frequent) {
-		t.Fatalf("apriori-kc+ %d vs fpgrowth-kc+ %d itemsets",
-			len(ap.Result.Frequent), len(fp.Result.Frequent))
-	}
-	for i := range ap.Result.Frequent {
-		a, f := ap.Result.Frequent[i], fp.Result.Frequent[i]
-		if !a.Items.Equal(f.Items) || a.Support != f.Support {
-			t.Fatalf("result %d differs: %v/%d vs %v/%d", i, a.Items, a.Support, f.Items, f.Support)
+	for _, name := range []string{"fpgrowth-kc+", "fpgrowth", "eclat-kc+", "eclat"} {
+		alg, err := ParseAlgorithm(name)
+		if err != nil || alg != AlgAprioriKCPlus {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want apriori-kc+", name, alg, err)
 		}
-	}
-	if alg, err := ParseAlgorithm("fpgrowth"); err != nil || alg != AlgFPGrowthKCPlus {
-		t.Errorf("ParseAlgorithm(fpgrowth) = %v, %v", alg, err)
-	}
-	if AlgFPGrowthKCPlus.String() != "fpgrowth-kc+" {
-		t.Error("fpgrowth algorithm name")
+		got, err := RunTable(table, Config{Algorithm: alg, MinSupport: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Result.Frequent, want.Result.Frequent) {
+			t.Errorf("%s mined a different frequent set than apriori-kc+", name)
+		}
 	}
 }

@@ -7,14 +7,14 @@ import "fmt"
 // decoders. Unknown values fail rather than leak "core.Algorithm(n)".
 func (a Algorithm) MarshalText() ([]byte, error) {
 	switch a {
-	case AlgApriori, AlgAprioriKC, AlgAprioriKCPlus, AlgFPGrowthKCPlus, AlgEclatKCPlus:
+	case AlgApriori, AlgAprioriKC, AlgAprioriKCPlus:
 		return []byte(a.String()), nil
 	}
 	return nil, fmt.Errorf("core: cannot marshal unknown algorithm %d", int(a))
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler via ParseAlgorithm
-// (aliases like "kc+" are accepted).
+// (aliases like "kc+" and the retired engine names are accepted).
 func (a *Algorithm) UnmarshalText(text []byte) error {
 	parsed, err := ParseAlgorithm(string(text))
 	if err != nil {

@@ -322,6 +322,8 @@ func (db *DB) Tidset(id int32) []uint64 {
 }
 
 // SupportHorizontal counts rows containing every item of s by scanning.
+// The miner counts vertically; this scan is the simple reference the
+// tests check the vertical counter and the miner against.
 func (db *DB) SupportHorizontal(s Itemset) int {
 	count := 0
 	for _, row := range db.Rows {
@@ -417,35 +419,6 @@ func (c *VerticalCounter) Support(s Itemset) int {
 	}
 	c.prefix = append(c.prefix[:0], s[:k-1]...)
 	return andCount(c.layers[k-2], tids[s[k-1]])
-}
-
-// ProjectRows returns the rows with every item id for which keep[id] is
-// false removed, preserving row indices (a fully pruned row becomes the
-// empty set, keeping tid alignment). All surviving items share one
-// backing array, so the projection costs one allocation plus the
-// headers. Rows shorter than the current pass's k can then be skipped by
-// horizontal counting — no k-candidate fits in them.
-func (db *DB) ProjectRows(keep []bool) []Itemset {
-	total := 0
-	for _, row := range db.Rows {
-		for _, id := range row {
-			if keep[id] {
-				total++
-			}
-		}
-	}
-	backing := make([]int32, 0, total)
-	out := make([]Itemset, len(db.Rows))
-	for i, row := range db.Rows {
-		start := len(backing)
-		for _, id := range row {
-			if keep[id] {
-				backing = append(backing, id)
-			}
-		}
-		out[i] = Itemset(backing[start:len(backing):len(backing)])
-	}
-	return out
 }
 
 // ItemCounts returns the per-item support counts in one pass, the

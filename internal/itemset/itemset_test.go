@@ -331,29 +331,6 @@ func TestVerticalCounterSortedStream(t *testing.T) {
 	}
 }
 
-func TestProjectRows(t *testing.T) {
-	db := NewDB(dataset.PortoAlegreTable())
-	keep := make([]bool, db.Dict.Len())
-	for id := 0; id < db.Dict.Len(); id += 2 {
-		keep[id] = true
-	}
-	rows := db.ProjectRows(keep)
-	if len(rows) != len(db.Rows) {
-		t.Fatalf("ProjectRows changed row count: %d != %d", len(rows), len(db.Rows))
-	}
-	for i, row := range rows {
-		want := make(Itemset, 0, len(db.Rows[i]))
-		for _, id := range db.Rows[i] {
-			if keep[id] {
-				want = append(want, id)
-			}
-		}
-		if !row.Equal(want) {
-			t.Errorf("row %d = %v, want %v", i, row, want)
-		}
-	}
-}
-
 func TestBitset(t *testing.T) {
 	b := make(bitset, 2)
 	b.set(0)

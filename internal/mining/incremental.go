@@ -9,7 +9,7 @@
 // changed row, so the restricted walk cannot miss one. The walk prunes
 // with true supports from the (already patched) vertical bitmaps and
 // applies the same Φ-dependency / same-feature pair filters as the full
-// engines, so the patched result is identical to a from-scratch run.
+// engine, so the patched result is identical to a from-scratch run.
 package mining
 
 import (
@@ -59,7 +59,7 @@ type PatchStats struct {
 // empty. The PrunedDeps/PrunedSameFeature tallies are recomputed from
 // the patched database — they are a pure function of the frequent
 // 1-items and the pair filters (the count of filtered unordered pairs
-// at k=2, as the Apriori and Eclat engines define them), and edits can
+// at k=2, as MineContext defines them), and edits can
 // change which single items are frequent.
 func PatchResultContext(ctx context.Context, db *itemset.DB, prev *Result, cfg Config, deltas []RowDelta) (*Result, PatchStats, error) {
 	var stats PatchStats
@@ -71,9 +71,7 @@ func PatchResultContext(ctx context.Context, db *itemset.DB, prev *Result, cfg C
 	if prev == nil || minCount != prev.MinSupportCount || 2*len(deltas) > db.NumTransactions() {
 		stats.Rewalk = true
 		tr.Add("delta.mine.rewalks", 1)
-		rcfg := cfg
-		rcfg.Counting = VerticalCounting
-		res, err := MineContext(ctx, db, rcfg)
+		res, err := MineContext(ctx, db, cfg)
 		return res, stats, err
 	}
 	start := time.Now()
@@ -144,8 +142,8 @@ func PatchResultContext(ctx context.Context, db *itemset.DB, prev *Result, cfg C
 // countPairPrunes recounts the k=2 pair-filter tallies over the patched
 // database: every unordered pair of frequent 1-items removed by the Φ
 // dependency set or the same-feature filter, dependency precedence
-// first — exactly what Apriori's C2 filterPairs and Eclat's root-level
-// walk count on a cold run.
+// first — exactly what MineContext's C2 filterPairs counts on a cold
+// run.
 func countPairPrunes(db *itemset.DB, cfg Config, minCount int) (deps, same int) {
 	depSet := buildDepSet(db.Dict, cfg.Dependencies)
 	if len(depSet) == 0 && !cfg.FilterSameFeature {
@@ -240,4 +238,36 @@ func discoverNew(ctx context.Context, db *itemset.DB, cfg Config, minCount int, 
 	}
 	walk(nil, allRows, 0)
 	return out
+}
+
+// violation classifies why a pattern extension is forbidden.
+type violation int
+
+// Violation kinds; violationNone means the extension is admissible.
+const (
+	violationNone violation = iota
+	violationDep
+	violationSameFeature
+)
+
+// violates reports whether adding item id to the pattern creates a
+// forbidden pair (Φ dependency or same feature type) with any existing
+// member, and which filter fired.
+func violates(ext itemset.Itemset, id int32, d *itemset.Dictionary, deps map[[2]int32]struct{}, sameFeature bool) violation {
+	for _, other := range ext {
+		if other == id {
+			continue
+		}
+		a, b := other, id
+		if a > b {
+			a, b = b, a
+		}
+		if _, bad := deps[[2]int32{a, b}]; bad {
+			return violationDep
+		}
+		if sameFeature && d.SameFeatureType(a, b) {
+			return violationSameFeature
+		}
+	}
+	return violationNone
 }

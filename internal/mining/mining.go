@@ -30,51 +30,6 @@ type Pair struct {
 	A, B string
 }
 
-// CountingStrategy selects how candidate supports are computed.
-type CountingStrategy int
-
-// Counting strategies. VerticalCounting intersects per-item row bitmaps
-// (fast, the default); HorizontalCounting scans transactions per candidate
-// exactly as Listing 1 of the paper does.
-const (
-	VerticalCounting CountingStrategy = iota
-	HorizontalCounting
-)
-
-// String implements fmt.Stringer.
-func (c CountingStrategy) String() string {
-	switch c {
-	case VerticalCounting:
-		return "vertical"
-	case HorizontalCounting:
-		return "horizontal"
-	}
-	return fmt.Sprintf("mining.CountingStrategy(%d)", int(c))
-}
-
-// MarshalText implements encoding.TextMarshaler, so the strategy drops
-// into flag.TextVar, JSON, or any config decoder.
-func (c CountingStrategy) MarshalText() ([]byte, error) {
-	switch c {
-	case VerticalCounting, HorizontalCounting:
-		return []byte(c.String()), nil
-	}
-	return nil, fmt.Errorf("mining: unknown counting strategy %d", int(c))
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (c *CountingStrategy) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "vertical":
-		*c = VerticalCounting
-	case "horizontal":
-		*c = HorizontalCounting
-	default:
-		return fmt.Errorf("mining: unknown counting strategy %q (want vertical or horizontal)", text)
-	}
-	return nil
-}
-
 // Config parameterises a mining run.
 type Config struct {
 	// MinSupport is the relative minimum support in (0, 1]. Ignored when
@@ -90,14 +45,11 @@ type Config struct {
 	// FilterSameFeature enables the Apriori-KC+ step: remove every C2
 	// pair whose items are spatial predicates with the same feature type.
 	FilterSameFeature bool
-	// Counting selects the support-counting strategy.
-	Counting CountingStrategy
 	// MaxLen bounds the itemset size mined; 0 means unbounded.
 	MaxLen int
-	// Parallelism bounds the mining fan-out: vertical support counting
-	// in the Apriori engines and the equivalence-class walk in Eclat
-	// both shard over this many workers. 1 (or negative) is sequential,
-	// 0 uses GOMAXPROCS. Results are identical at any setting.
+	// Parallelism bounds the vertical support-counting worker pool. 1
+	// (or negative) is sequential, 0 uses GOMAXPROCS. Results are
+	// identical at any setting.
 	Parallelism int
 }
 
@@ -241,7 +193,9 @@ func AprioriKCPlusContext(ctx context.Context, db *itemset.DB, cfg Config) (*Res
 }
 
 // Mine is the generic engine behind the three named algorithms, following
-// Listing 1 of the paper.
+// Listing 1 of the paper. Listing 1 counts a candidate's support by
+// scanning the transactions; Mine counts the same number by intersecting
+// per-item row bitmaps.
 func Mine(db *itemset.DB, cfg Config) (*Result, error) {
 	return MineContext(context.Background(), db, cfg)
 }
@@ -260,9 +214,7 @@ func MineContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, erro
 	}
 	tr := obs.FromContext(ctx)
 	start := time.Now()
-	if cfg.Counting == VerticalCounting {
-		db.BuildTidsets()
-	}
+	db.BuildTidsets()
 	res := &Result{
 		MinSupportCount: minCount,
 		NumTransactions: db.NumTransactions(),
@@ -285,18 +237,6 @@ func MineContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, erro
 	res.Stats = append(res.Stats, stat1)
 	tr.Pass(stat1.Event())
 
-	// DB projection for horizontal counting: drop infrequent items from
-	// the rows once, so every later pass scans shorter rows and skips
-	// those that cannot hold a k-candidate.
-	var projRows []itemset.Itemset
-	if cfg.Counting == HorizontalCounting {
-		keep := make([]bool, db.Dict.Len())
-		for id, c := range counts {
-			keep[id] = c >= minCount
-		}
-		projRows = db.ProjectRows(keep)
-	}
-
 	for k := 2; len(level) > 0 && (cfg.MaxLen == 0 || k <= cfg.MaxLen); k++ {
 		// Long low-support runs honour cancellation between passes.
 		if err := ctx.Err(); err != nil {
@@ -315,15 +255,7 @@ func MineContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, erro
 			res.PrunedSameFeature = stat.PrunedSameFeature
 		}
 
-		var supports []int
-		switch cfg.Counting {
-		case VerticalCounting:
-			supports = countVertical(ctx, db, candidates, cfg.Parallelism)
-		case HorizontalCounting:
-			supports = countHorizontal(ctx, projRows, candidates, k)
-		default:
-			return nil, fmt.Errorf("mining: unknown counting strategy %d", cfg.Counting)
-		}
+		supports := countVertical(ctx, db, candidates, cfg.Parallelism)
 		// A cancellation inside the counters leaves partial supports;
 		// discard them rather than emit a wrong level.
 		if err := ctx.Err(); err != nil {
@@ -364,7 +296,8 @@ func resolveMinSupport(db *itemset.DB, cfg Config) (int, error) {
 	if cfg.MinSupportCount > 0 {
 		return cfg.MinSupportCount, nil
 	}
-	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
+	// Written so NaN fails too: every comparison with NaN is false.
+	if !(cfg.MinSupport > 0 && cfg.MinSupport <= 1) {
 		return 0, fmt.Errorf("mining: MinSupport must be in (0, 1], got %v", cfg.MinSupport)
 	}
 	// Ceiling: a set is frequent when support/N >= MinSupport. The
@@ -591,29 +524,6 @@ func countVertical(ctx context.Context, db *itemset.DB, candidates []itemset.Ite
 		}(lo, hi)
 	}
 	wg.Wait()
-	return supports
-}
-
-// countHorizontal computes candidate supports with one scan over the
-// (projected) rows, testing each candidate per row — the subset() loop
-// of Listing 1. Rows shorter than k cannot contain a k-candidate and are
-// skipped. Cancellation is checked per row; the caller must check ctx
-// before using the (then partial) supports.
-func countHorizontal(ctx context.Context, rows []itemset.Itemset, candidates []itemset.Itemset, k int) []int {
-	supports := make([]int, len(candidates))
-	for ri, row := range rows {
-		if ri%cancelCheckStride == 0 && ctx.Err() != nil {
-			return supports
-		}
-		if len(row) < k {
-			continue
-		}
-		for i, c := range candidates {
-			if row.ContainsAll(c) {
-				supports[i]++
-			}
-		}
-	}
 	return supports
 }
 

@@ -211,8 +211,8 @@ func (t *Trace) Add(name string, delta int64) {
 }
 
 // WorkerCounter formats the canonical name of a per-worker counter:
-// "<subsystem>.worker.<n>.<metric>". Parallel stages (the Eclat walk,
-// the vertical counting pool) emit their fan-out balance under this
+// "<subsystem>.worker.<n>.<metric>". Parallel stages (the co-location
+// walk) emit their fan-out balance under this
 // convention so sinks and dashboards can group worker series without
 // guessing at ad-hoc names.
 func WorkerCounter(subsystem string, worker int, metric string) string {

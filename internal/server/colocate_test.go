@@ -182,7 +182,7 @@ func TestColocateAsyncJob(t *testing.T) {
 // for one dataset can never collide, and distinct colocate configs get
 // distinct keys.
 func TestColocateCacheKeyDisjoint(t *testing.T) {
-	mineKey, err := CacheKey("d", core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3})
+	mineKey, err := CacheKey("d", core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

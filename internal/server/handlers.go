@@ -291,12 +291,9 @@ func (s *Server) decodeMineRequest(w http.ResponseWriter, r *http.Request) (Mine
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "co-location requests go to POST /v1/colocate")
 		return MineRequest{}, false
 	}
-	if req.Config.MinSupport <= 0 || req.Config.MinSupport > 1 {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "minSupport must be in (0, 1]")
-		return MineRequest{}, false
-	}
 	// The decode already pinned the enums; this rejects the remaining
-	// out-of-range values (minConfidence) before anything is queued.
+	// out-of-range values (minSupport, minConfidence) before anything is
+	// queued.
 	if _, err := core.EffectiveMiningConfig(req.Config); err != nil {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return MineRequest{}, false
@@ -335,7 +332,8 @@ func (s *Server) writeMineError(w http.ResponseWriter, r *http.Request, err erro
 		writeError(w, r, http.StatusServiceUnavailable, api.CodeCancelled, "mining was cancelled")
 	default:
 		// Remaining failures are configuration/data errors from the
-		// pipeline (bad minsup, counting/engine mismatch, ...).
+		// pipeline (a discretizer that cannot fit, co-location on a
+		// table, ...).
 		writeError(w, r, http.StatusUnprocessableEntity, api.CodeConfigInvalid, "%v", err)
 	}
 }
@@ -415,8 +413,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServerMetrics is the /metrics document: the obs snapshot (stage
-// spans, mining passes, counters — including the coalesce.* and eclat
-// worker fan-out counters) plus the service-level
+// spans, mining passes, counters — including the coalesce.* and
+// co-location worker fan-out counters) plus the service-level
 // store/cache/job statistics and, on a node with -data-dir, the
 // persistence-tier block.
 type ServerMetrics struct {

@@ -94,7 +94,7 @@ func TestResultRoundTripAndChainVerification(t *testing.T) {
 	d := openDir(t)
 	digest := digestOf([]byte("dataset"))
 	key := digest + `|{"minSupport":0.5}`
-	resp := &api.MineResponse{Algorithm: "eclat-kc+", Transactions: 7, Cached: true}
+	resp := &api.MineResponse{Algorithm: "apriori-kc+", Transactions: 7, Cached: true}
 
 	if err := d.SaveResult(key, resp); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,7 @@ func TestStoreEvictionInvalidatesDerivedState(t *testing.T) {
 	if status, raw := doJSON(t, client, "POST", ts.URL+"/datasets/table", []byte("r1,a,b\nr2,a,c\n"), &a); status != http.StatusCreated {
 		t.Fatalf("upload A: %d %s", status, raw)
 	}
-	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}
+	cfg := core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.5}
 	var first MineResponse
 	if status, raw := doJSON(t, client, "POST", ts.URL+"/mine", mineBody(t, a.Digest, cfg), &first); status != http.StatusOK {
 		t.Fatalf("mine A: %d %s", status, raw)
@@ -261,7 +262,7 @@ func TestServerRestartDurability(t *testing.T) {
 	client := ts1.Client()
 
 	info := uploadSampleScene(t, client, ts1.URL)
-	cfgMined := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3}
+	cfgMined := core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3}
 	var before MineResponse
 	if status, raw := doJSON(t, client, "POST", ts1.URL+"/mine", mineBody(t, info.Digest, cfgMined), &before); status != http.StatusOK {
 		t.Fatalf("pre-crash mine: %d %s", status, raw)
@@ -271,12 +272,12 @@ func TestServerRestartDurability(t *testing.T) {
 	block.Store(true)
 	var inflight, queued JobStatus
 	if status, raw := doJSON(t, client, "POST", ts1.URL+"/jobs",
-		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.4}), &inflight); status != http.StatusAccepted {
+		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.4}), &inflight); status != http.StatusAccepted {
 		t.Fatalf("submit in-flight job: %d %s", status, raw)
 	}
 	<-blocked // its started record is journaled before the hook runs
 	if status, raw := doJSON(t, client, "POST", ts1.URL+"/jobs",
-		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}), &queued); status != http.StatusAccepted {
+		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.5}), &queued); status != http.StatusAccepted {
 		t.Fatalf("submit queued job: %d %s", status, raw)
 	}
 	// Crash: close the listener and abandon s1 without Shutdown, so the
@@ -382,9 +383,11 @@ func TestServerRestartDurability(t *testing.T) {
 
 // TestJournalReplaysLegacyIndexMember: an older server journaled each
 // submitted MineRequest verbatim, so a -data-dir WAL may still hold a
-// config naming the retired extraction "index" member. Recovery must
-// decode that record, re-enqueue the job under its original ID, and
-// mine it to the same result as the index-less config.
+// config naming the retired extraction "index" member, a retired engine
+// ("eclat-kc+", "fpgrowth-kc+") or the retired "counting" member.
+// Recovery must decode each record, re-enqueue the job under its
+// original ID, and mine it to the same result as the canonical
+// apriori-kc+ config.
 func TestJournalReplaysLegacyIndexMember(t *testing.T) {
 	root := t.TempDir()
 	dir1, err := persist.Open(root)
@@ -400,15 +403,21 @@ func TestJournalReplaysLegacyIndexMember(t *testing.T) {
 	}
 	dir1.Close()
 
-	// A submitted-but-never-started record as an older build wrote it.
-	line := fmt.Sprintf(`{"t":%q,"id":"j-legacy-index","time":%q,"req":{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.3,"extraction":{"topological":true,"index":"none"}}}}`+"\n",
-		persist.RecSubmitted, time.Now().Format(time.RFC3339Nano), info.Digest)
+	// Submitted-but-never-started records as older builds wrote them.
+	legacy := map[string]string{
+		"j-legacy-index":  `{"algorithm":"eclat-kc+","minSupport":0.3,"extraction":{"topological":true,"index":"none"}}`,
+		"j-legacy-engine": `{"algorithm":"fpgrowth-kc+","minSupport":0.3,"counting":"horizontal","extraction":{"topological":true}}`,
+	}
 	f, err := os.OpenFile(filepath.Join(root, "jobs.wal"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(line); err != nil {
-		t.Fatal(err)
+	for id, config := range legacy {
+		line := fmt.Sprintf(`{"t":%q,"id":%q,"time":%q,"req":{"dataset":%q,"config":%s}}`+"\n",
+			persist.RecSubmitted, id, time.Now().Format(time.RFC3339Nano), info.Digest, config)
+		if _, err := f.WriteString(line); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f.Close()
 
@@ -422,33 +431,35 @@ func TestJournalReplaysLegacyIndexMember(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 
-	var st JobStatus
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st = JobStatus{}
-		if status, raw := doJSON(t, ts2.Client(), "GET", ts2.URL+"/v1/jobs/j-legacy-index", nil, &st); status != http.StatusOK {
-			t.Fatalf("poll recovered legacy job: %d %s", status, raw)
-		}
-		if st.State == JobDone {
-			break
-		}
-		if st.State == JobFailed || st.State == JobCancelled || time.Now().After(deadline) {
-			t.Fatalf("recovered legacy job = %+v, want done", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st.Result == nil || st.Lost {
-		t.Fatalf("recovered legacy job = %+v, want a result and no lost marker", st)
-	}
-
-	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3, Extraction: transact.Options{Topological: true}}
+	cfg := core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3, Extraction: transact.Options{Topological: true}}
 	var fresh MineResponse
 	if status, raw := doJSON(t, ts2.Client(), "POST", ts2.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &fresh); status != http.StatusOK {
-		t.Fatalf("index-less mine: %d %s", status, raw)
+		t.Fatalf("canonical mine: %d %s", status, raw)
 	}
-	if len(fresh.Frequent) != len(st.Result.Frequent) || fresh.Transactions != st.Result.Transactions {
-		t.Errorf("legacy job mined %d itemsets / %d transactions, index-less config %d / %d",
-			len(st.Result.Frequent), st.Result.Transactions, len(fresh.Frequent), fresh.Transactions)
+	for id := range legacy {
+		var st JobStatus
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st = JobStatus{}
+			if status, raw := doJSON(t, ts2.Client(), "GET", ts2.URL+"/v1/jobs/"+id, nil, &st); status != http.StatusOK {
+				t.Fatalf("poll recovered job %s: %d %s", id, status, raw)
+			}
+			if st.State == JobDone {
+				break
+			}
+			if st.State == JobFailed || st.State == JobCancelled || time.Now().After(deadline) {
+				t.Fatalf("recovered job %s = %+v, want done", id, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if st.Result == nil || st.Lost {
+			t.Fatalf("recovered job %s = %+v, want a result and no lost marker", id, st)
+		}
+		if st.Result.Algorithm != "apriori-kc+" || !reflect.DeepEqual(st.Result.Frequent, fresh.Frequent) ||
+			st.Result.Transactions != fresh.Transactions {
+			t.Errorf("job %s mined %s: %d itemsets / %d transactions, canonical config %d / %d", id,
+				st.Result.Algorithm, len(st.Result.Frequent), st.Result.Transactions, len(fresh.Frequent), fresh.Transactions)
+		}
 	}
 }
 
@@ -470,7 +481,7 @@ func TestPersistedResultVerifyFailureRecomputes(t *testing.T) {
 	if status, raw := doJSON(t, client, "POST", ts1.URL+"/datasets/table", []byte("r1,a,b\nr2,a,b\nr3,a,c\n"), &info); status != http.StatusCreated {
 		t.Fatalf("upload: %d %s", status, raw)
 	}
-	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}
+	cfg := core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.5}
 	var before MineResponse
 	if status, raw := doJSON(t, client, "POST", ts1.URL+"/mine", mineBody(t, info.Digest, cfg), &before); status != http.StatusOK {
 		t.Fatalf("mine: %d %s", status, raw)

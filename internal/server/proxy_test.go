@@ -113,7 +113,7 @@ func TestProxyFrontMatchesDirect(t *testing.T) {
 	}
 
 	req := api.MineRequest{Dataset: info.Digest, Config: core.Config{
-		Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3, GenerateRules: true, MinConfidence: 0.7,
+		Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3, GenerateRules: true, MinConfidence: 0.7,
 	}}
 	got, err := frontC.Mine(ctx, req)
 	if err != nil {
@@ -305,7 +305,7 @@ func TestProxyPatchLineageRouting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
-	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3}
+	cfg := core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3}
 	if _, err := c.Mine(ctx, api.MineRequest{Dataset: info.Digest, Config: cfg}); err != nil {
 		t.Fatalf("mine parent: %v", err)
 	}

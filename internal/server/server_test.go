@@ -81,7 +81,7 @@ func TestEndToEndAsyncJobMatchesLibraryRun(t *testing.T) {
 	client := ts.Client()
 
 	info := uploadSampleScene(t, client, ts.URL)
-	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3, GenerateRules: true, MinConfidence: 0.7}
+	cfg := core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3, GenerateRules: true, MinConfidence: 0.7}
 
 	// Submit the async job.
 	var st JobStatus
@@ -229,7 +229,7 @@ r3,b,c
 	before := runtime.NumGoroutine()
 	var st JobStatus
 	status, raw := doJSON(t, client, "POST", ts.URL+"/jobs",
-		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}), &st)
+		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.5}), &st)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", status, raw)
 	}
@@ -301,7 +301,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if status, raw := doJSON(t, client, "POST", base+"/datasets/scene", buf.Bytes(), &info); status != http.StatusCreated {
 		t.Fatalf("upload: %d %s", status, raw)
 	}
-	body := mineBody(t, info.Digest, core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3})
+	body := mineBody(t, info.Digest, core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3})
 	var st JobStatus
 	if status, raw := doJSON(t, client, "POST", base+"/jobs", body, &st); status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", status, raw)
@@ -424,6 +424,8 @@ func TestRequestValidationAndErrors(t *testing.T) {
 		{"mine unknown body field", "POST", "/mine", `{"dataset":"beef","config":{"minSupport":0.5},"cfg":{}}`, 400, "unknown field"},
 		{"mine missing dataset", "POST", "/mine", `{"config":{"minSupport":0.5}}`, 400, "dataset"},
 		{"mine bad minsup", "POST", "/mine", `{"dataset":"beef","config":{"minSupport":7}}`, 400, "minSupport"},
+		{"mine bad counting", "POST", "/mine", `{"dataset":"beef","config":{"minSupport":0.5,"counting":"diagonal"}}`, 400, "unknown counting strategy"},
+		{"job bad counting", "POST", "/jobs", `{"dataset":"beef","config":{"minSupport":0.5,"counting":"diagonal"}}`, 400, "unknown counting strategy"},
 		{"mine garbage body", "POST", "/mine", `}{`, 400, "decoding"},
 		{"scene garbage body", "POST", "/datasets/scene", `not json`, 400, "decoding"},
 		{"scene bad wkt", "POST", "/datasets/scene", `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT(huh)"}]}}`, 400, "parsing WKT"},
@@ -445,14 +447,15 @@ func TestRequestValidationAndErrors(t *testing.T) {
 		})
 	}
 
-	// A config error surfaced by the engine itself (eclat rejects
-	// horizontal counting) maps to 422.
+	// A retired engine name with a retired counting spelling still
+	// mines, as apriori-kc+.
 	body := []byte("r1,a,b\nr2,a,b\n")
 	var info datasetInfo
 	doJSON(t, client, "POST", ts.URL+"/datasets/table", body, &info)
 	req := fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.5,"counting":"horizontal"}}`, info.Digest)
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/mine", []byte(req), nil); status != http.StatusUnprocessableEntity {
-		t.Errorf("engine config error: %d %s, want 422", status, raw)
+	var legacy MineResponse
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/mine", []byte(req), &legacy); status != http.StatusOK || legacy.Algorithm != "apriori-kc+" {
+		t.Errorf("retired engine and counting names: %d %s, want 200 mined as apriori-kc+", status, raw)
 	}
 	// Upload body cap: 413 with the limit named.
 	small := New(Options{MaxUploadBytes: 16})

@@ -266,7 +266,7 @@ func TestMineRechecksCacheBeforeComputing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := MineRequest{Dataset: sd.Digest, Config: core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}}
+	req := MineRequest{Dataset: sd.Digest, Config: core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.5}}
 
 	// The first request to miss (the follower) parks between its cache
 	// miss and flights.do until the test releases it.

@@ -106,8 +106,14 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"garbage body", "POST", "/v1/mine", "}{", 400, api.CodeBadRequest, ""},
 		{"unknown dataset", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, api.CodeNotFound, ""},
 		{"unknown job", "GET", "/v1/jobs/j000000-00000042", "", 404, api.CodeNotFound, ""},
-		{"engine config error", "POST", "/v1/mine",
-			fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.5,"counting":"horizontal"}}`, info.Digest),
+		{"unknown counting value", "POST", "/v1/mine",
+			fmt.Sprintf(`{"dataset":%q,"config":{"minSupport":0.5,"counting":"diagonal"}}`, info.Digest),
+			400, api.CodeBadRequest, "counting"},
+		{"numeric counting job", "POST", "/v1/jobs",
+			fmt.Sprintf(`{"dataset":%q,"config":{"minSupport":0.5,"counting":3}}`, info.Digest),
+			400, api.CodeBadRequest, "counting"},
+		{"pipeline config error", "POST", "/v1/colocate",
+			fmt.Sprintf(`{"dataset":%q,"config":{"distance":1,"minPI":0.5}}`, info.Digest),
 			422, api.CodeConfigInvalid, ""},
 		{"minConfidence above 1", "POST", "/v1/mine",
 			fmt.Sprintf(`{"dataset":%q,"config":{"minSupport":0.5,"generateRules":true,"minConfidence":1.5}}`, info.Digest),
@@ -267,7 +273,7 @@ func TestMineLegacyIndexWireCompat(t *testing.T) {
 	defer ts.Close()
 	info := uploadSampleScene(t, ts.Client(), ts.URL+"/v1")
 	body := func(extraction string) []byte {
-		return []byte(fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.3,"extraction":%s}}`, info.Digest, extraction))
+		return []byte(fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"apriori-kc+","minSupport":0.3,"extraction":%s}}`, info.Digest, extraction))
 	}
 
 	var first api.MineResponse
@@ -297,5 +303,51 @@ func TestMineLegacyIndexWireCompat(t *testing.T) {
 		if eb := decodeEnvelope(t, raw); eb.Code != api.CodeBadRequest {
 			t.Fatalf("%s index kd: code %q, want %q", path, eb.Code, api.CodeBadRequest)
 		}
+	}
+}
+
+// TestRetiredEngineSharesCacheEntry: every KC+ engine mined the same
+// pattern set, so a request naming a retired engine ("eclat-kc+",
+// "fpgrowth-kc+", ...) with a retired "counting" spelling decodes to
+// the canonical apriori-kc+ config. After an apriori-kc+ mine it is a
+// counter-verified cache hit with an identical body, and never re-mines.
+func TestRetiredEngineSharesCacheEntry(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	info := uploadSampleScene(t, ts.Client(), ts.URL+"/v1")
+	body := func(alg, extra string) []byte {
+		return []byte(fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":%q,"minSupport":0.3%s}}`, info.Digest, alg, extra))
+	}
+
+	var first api.MineResponse
+	status, raw := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/mine", body("apriori-kc+", ""), &first)
+	if status != http.StatusOK {
+		t.Fatalf("mine: %d %s", status, raw)
+	}
+	runs := s.trace.Counter("server.mine.runs")
+	for _, req := range []struct{ alg, extra string }{
+		{"eclat-kc+", `,"counting":"horizontal"`},
+		{"fpgrowth-kc+", ""},
+		{"eclat", `,"counting":"vertical"`},
+		{"fpgrowth", `,"counting":""`},
+	} {
+		hits := s.cache.Stats().Hits
+		var legacy api.MineResponse
+		status, raw = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/mine", body(req.alg, req.extra), &legacy)
+		if status != http.StatusOK {
+			t.Fatalf("%s%s: %d %s", req.alg, req.extra, status, raw)
+		}
+		if !legacy.Cached || s.cache.Stats().Hits != hits+1 {
+			t.Fatalf("%s%s not a counted cache hit (hits %d -> %d): %s", req.alg, req.extra, hits, s.cache.Stats().Hits, raw)
+		}
+		legacy.Cached = false
+		if !reflect.DeepEqual(legacy, first) {
+			t.Fatalf("%s%s served a different body:\n got %+v\nwant %+v", req.alg, req.extra, legacy, first)
+		}
+	}
+	if got := s.trace.Counter("server.mine.runs"); got != runs {
+		t.Fatalf("retired engine requests re-ran the miner: runs %d -> %d", runs, got)
 	}
 }

@@ -282,8 +282,6 @@ type (
 	MiningResult = mining.Result
 	// FrequentItemset couples an itemset with its support count.
 	FrequentItemset = mining.FrequentItemset
-	// CountingStrategy selects how the Apriori engines count supports.
-	CountingStrategy = mining.CountingStrategy
 	// Rule is an association rule with interestingness measures.
 	Rule = mining.Rule
 	// Itemset is a set of interned items.
@@ -303,22 +301,6 @@ const (
 	// AprioriKCPlus additionally filters same-feature-type pairs — the
 	// paper's contribution.
 	AprioriKCPlus = core.AlgAprioriKCPlus
-	// FPGrowthKCPlus mines the Apriori-KC+ pattern set with the
-	// FP-growth engine.
-	FPGrowthKCPlus = core.AlgFPGrowthKCPlus
-	// EclatKCPlus mines the Apriori-KC+ pattern set with the vertical
-	// Eclat engine (tidsets with dEclat diffset switching).
-	EclatKCPlus = core.AlgEclatKCPlus
-)
-
-// Counting strategies.
-const (
-	// VerticalCounting intersects per-item row bitmaps (the default).
-	VerticalCounting = mining.VerticalCounting
-	// HorizontalCounting scans transactions per candidate as Listing 1
-	// of the paper does (Apriori engines only; the Eclat engine rejects
-	// it).
-	HorizontalCounting = mining.HorizontalCounting
 )
 
 // Post filters (the paper's future-work redundancy elimination).
