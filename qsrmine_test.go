@@ -1,6 +1,7 @@
 package qsrmine_test
 
 import (
+	"reflect"
 	"testing"
 
 	qsrmine "repro"
@@ -84,5 +85,41 @@ func TestPublicTableAPI(t *testing.T) {
 	alg, err := qsrmine.ParseAlgorithm("apriori-kc+")
 	if err != nil || alg != qsrmine.AprioriKCPlus {
 		t.Errorf("ParseAlgorithm = %v, %v", alg, err)
+	}
+}
+
+// TestPublicRetiredEngineRules: through the public API, a retired engine
+// name parses to AprioriKCPlus and yields the same frequent sets and the
+// same association rules as naming AprioriKCPlus directly.
+func TestPublicRetiredEngineRules(t *testing.T) {
+	run := func(alg qsrmine.Algorithm) *qsrmine.Outcome {
+		t.Helper()
+		out, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
+			Algorithm:     alg,
+			MinSupport:    0.5,
+			GenerateRules: true,
+			MinConfidence: 0.7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run(qsrmine.AprioriKCPlus)
+	if len(want.Rules) == 0 {
+		t.Fatal("apriori-kc+ generated no rules to compare")
+	}
+	for _, name := range []string{"fpgrowth-kc+", "fpgrowth", "eclat-kc+", "eclat"} {
+		alg, err := qsrmine.ParseAlgorithm(name)
+		if err != nil || alg != qsrmine.AprioriKCPlus {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want AprioriKCPlus", name, alg, err)
+		}
+		got := run(alg)
+		if !reflect.DeepEqual(got.Result.Frequent, want.Result.Frequent) {
+			t.Errorf("%s mined different frequent sets", name)
+		}
+		if !reflect.DeepEqual(got.Rules, want.Rules) {
+			t.Errorf("%s generated different rules", name)
+		}
 	}
 }
